@@ -1,0 +1,11 @@
+"""Make the benchmark's flat modules importable from its tests.
+
+Run from the repository root::
+
+    python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
