@@ -144,10 +144,7 @@ def test_ablation_gang_slot_length(benchmark, cooldown_ms):
         bz = SpecCpuRateWorkload.by_name("256.bzip2", scale=0.4, rounds=30)
         tb.add_vm("V1", weight=256, workload=bz)
         tb.add_vm("V2", weight=256, workload=lu, concurrent_hint=True)
-        tb.start()
-        ok = tb.sim.run_until_true(
-            lambda: lu.rounds_completed() >= 2 and bz.rounds_completed() >= 2,
-            deadline=units.seconds(240))
+        ok = tb.run_until_rounds(2, deadline_cycles=units.seconds(240))
         assert ok
         return (bz.mean_round_cycles(2) / units.CYCLES_PER_S,
                 lu.mean_round_cycles(2) / units.CYCLES_PER_S)

@@ -263,11 +263,8 @@ def run_multi_vm(assignments: Sequence[Tuple[str, WorkloadFactory, bool]],
         tb.add_vm(name, num_vcpus=num_vcpus, weight=256, workload=wl,
                   concurrent_hint=concurrent)
         workloads[name] = wl
-    tb.start()
-    done = tb.sim.run_until_true(
-        lambda: all(w.rounds_completed() >= measure_rounds
-                    for w in workloads.values()),
-        deadline=deadline_cycles)
+    done = tb.run_until_rounds(measure_rounds,
+                               deadline_cycles=deadline_cycles)
     if not done and on_deadline == "raise":
         raise SimulationError(
             f"multi-VM run ({scheduler}) did not reach {measure_rounds} "

@@ -8,7 +8,7 @@ Domain-0 with weight 256, guest VMs with 4 VCPUs each.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Callable, Dict, List, Optional, Type
 
 import numpy as np
 
@@ -140,7 +140,7 @@ class Testbed:
         self._started = False
         #: Quiescence fast-forward, sampled at construction like the
         #: kernels/schedulers do; selects the push-driven completion
-        #: driver in :meth:`run_until_workloads_done`.
+        #: driver in :meth:`_drive`.
         self._ff = fastforward_enabled()
         #: Generation token retiring stale completion callbacks: each
         #: drive call bumps it, so a callback registered by an earlier
@@ -254,46 +254,63 @@ class Testbed:
                                  deadline_cycles: Optional[int] = None) -> bool:
         """Run until the named VMs' workloads all finish.  Returns True on
         completion, False if the deadline struck first."""
-        self.start()
         names = vm_names if vm_names is not None else list(self.workloads)
         guests = [self.guests[n] for n in names]
-        if self._ff:
-            # Push-driven completion: each pending guest reports once
-            # via on_all_done and the last one stops the loop — same
-            # stop event, timestamp and event count as the predicate
-            # poll below (the callback fires inside the finishing
-            # event; stop() only flags the loop), without a per-event
-            # predicate call.
-            pending = [g for g in guests if not g.finished]
-            if not pending:
-                return True
-            self._drive_gen += 1
-            gen = self._drive_gen
-            remaining = [len(pending)]
-
-            def one_done() -> None:
-                if gen != self._drive_gen:
-                    return  # registered by a superseded drive call
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    self.sim.stop()
-
-            for g in pending:
-                g.on_all_done(one_done)
-            stopped = self.sim.run_until_stopped(deadline=deadline_cycles)
-            self._drive_gen += 1  # retire this call's callbacks
-            if stopped:
-                return True
-            return all(g.finished for g in guests)
         if len(guests) == 1:
-            # The predicate runs once per simulated event; skip the
-            # generator machinery for the common single-VM experiments.
+            # The reference poll runs the predicate once per simulated
+            # event; skip the generator machinery for the common
+            # single-VM experiments.
             guest = guests[0]
-            predicate = lambda: guest.finished  # noqa: E731
+            done = lambda: guest.finished  # noqa: E731
         else:
-            predicate = lambda: all(g.finished for g in guests)  # noqa: E731
-        done = self.sim.run_until_true(predicate, deadline=deadline_cycles)
-        return done
+            done = lambda: all(g.finished for g in guests)  # noqa: E731
+        return self._drive(done, [g.on_all_done for g in guests],
+                           deadline_cycles)
+
+    def run_until_rounds(self, rounds: int,
+                         deadline_cycles: Optional[int] = None) -> bool:
+        """Run until every workload has completed ``rounds`` rounds (the
+        Section 5.3 multi-VM measurement).  Returns True once reached,
+        False if the deadline struck or the event queue drained first."""
+        workloads = list(self.workloads.values())
+        done = lambda: all(w.rounds_completed() >= rounds  # noqa: E731
+                           for w in workloads)
+        return self._drive(done, [w.on_round for w in workloads],
+                           deadline_cycles)
+
+    def _drive(self, done: Callable[[], bool],
+               subscribers: List[Callable[[Callable[[], None]], None]],
+               deadline_cycles: Optional[int]) -> bool:
+        """Run until ``done()`` holds; the one completion driver.
+
+        ``subscribers`` register a callback fired at every change that
+        can make ``done()`` true.  Under fast-forward completion is
+        push-driven: those callbacks run inside the event that made the
+        change, so re-testing ``done()`` there and calling ``stop()``
+        ends the loop on the same event, clock and event count as the
+        reference per-event predicate poll (``run_until_true``, kept for
+        ``REPRO_NO_FASTFORWARD=1``).  Deadline and drained-queue returns
+        match that poll too.
+        """
+        self.start()
+        if not self._ff:
+            return self.sim.run_until_true(done, deadline=deadline_cycles)
+        if done():
+            return True
+        self._drive_gen += 1
+        gen = self._drive_gen
+
+        def changed() -> None:
+            # A callback registered by a superseded drive call (possibly
+            # for another condition) must never stop a later run.
+            if gen == self._drive_gen and done():
+                self.sim.stop()
+
+        for subscribe in subscribers:
+            subscribe(changed)
+        self.sim.run_until_stopped(deadline=deadline_cycles)
+        self._drive_gen += 1  # retire this call's callbacks
+        return done()
 
     # ------------------------------------------------------------------ #
     def spin_stats(self, vm_name: str) -> SpinlockStats:

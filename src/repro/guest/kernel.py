@@ -92,9 +92,10 @@ class GuestKernel:
         self.sanitizer = None
         self._done_callbacks: List[Callable[[], None]] = []
         self._spawn_rr = 0
-        # Workload-completion counters: ``finished`` is polled once per
-        # simulated event by run_until_true drivers, so it must not scan
-        # the task list.
+        # Workload-completion counters: ``finished`` is re-tested at every
+        # task completion (and once per simulated event by the reference
+        # poll under REPRO_NO_FASTFORWARD=1), so it must not scan the
+        # task list.
         self._workload_total = 0
         self._workload_done = 0
         self.guest_switches = 0

@@ -190,8 +190,9 @@ class ChaosSpec:
 # --------------------------------------------------------------------- #
 # Deterministic draws
 # --------------------------------------------------------------------- #
-def _cell_digest(key: str) -> str:
-    """Short stable digest of a canonical cell key for stream names."""
+def cell_digest(key: str) -> str:
+    """Short stable digest of a canonical cell key for RNG stream names
+    (chaos draws here, retry backoff in the supervisor)."""
     return hashlib.blake2b(key.encode("utf-8"),
                            digest_size=8).hexdigest()
 
@@ -205,7 +206,7 @@ def chaos_draw(spec: ChaosSpec, site: str, key: str, attempt: int) -> float:
     up from the simulation).
     """
     stream = RngStreams(seed=spec.seed).get(
-        f"chaos/{site}/{_cell_digest(key)}/{attempt}")
+        f"chaos/{site}/{cell_digest(key)}/{attempt}")
     return float(stream.random())
 
 

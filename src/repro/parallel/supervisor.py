@@ -59,7 +59,7 @@ from repro.errors import ConfigurationError
 from repro.parallel import chaos as chaos_mod
 from repro.parallel.cache import ResultCache
 from repro.parallel.cells import CellSpec, execute_cell, result_fingerprint
-from repro.parallel.chaos import ChaosKill, ChaosSpec
+from repro.parallel.chaos import ChaosKill, ChaosSpec, cell_digest
 from repro.parallel.executor import (CellOutcome, CellResults,
                                      get_default_cache, resolve_jobs)
 from repro.sim.rng import RngStreams
@@ -242,10 +242,6 @@ def supervision_requested() -> bool:
 # --------------------------------------------------------------------- #
 # Deterministic backoff
 # --------------------------------------------------------------------- #
-def _cell_digest(key: str) -> str:
-    return hashlib.blake2b(key.encode("utf-8"), digest_size=8).hexdigest()
-
-
 def backoff_ms(policy: SupervisorPolicy, key: str, attempt: int) -> float:
     """Delay before retry ``attempt`` (1-based) of a cell, in ms.
 
@@ -257,7 +253,7 @@ def backoff_ms(policy: SupervisorPolicy, key: str, attempt: int) -> float:
     if policy.backoff_base_ms == 0:
         return 0.0
     stream = RngStreams(seed=policy.seed).get(
-        f"supervisor/backoff/{_cell_digest(key)}/{attempt}")
+        f"supervisor/backoff/{cell_digest(key)}/{attempt}")
     jitter = 0.5 + float(stream.random())
     raw = policy.backoff_base_ms * (2.0 ** max(0, attempt - 1)) * jitter
     return min(raw, policy.backoff_cap_ms)

@@ -174,10 +174,7 @@ def fig11a_mix_testbed(quick: bool = False) -> BenchResult:
     tb.start()
 
     def drive() -> int:
-        done = tb.sim.run_until_true(
-            lambda: all(w.rounds_completed() >= 1
-                        for w in tb.workloads.values()),
-            deadline=units.seconds(240))
+        done = tb.run_until_rounds(1, deadline_cycles=units.seconds(240))
         assert done, "fig11a testbed did not reach a full round"
         return tb.sim.events_executed
 

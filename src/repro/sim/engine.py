@@ -346,14 +346,16 @@ class Simulator:
     def run_until_stopped(self, deadline: Optional[int] = None) -> bool:
         """Run until :meth:`stop` is called from inside an event callback.
 
-        The fast-forward twin of :meth:`run_until_true` for drivers that
-        can push completion instead of polling it: a completion callback
-        (e.g. :meth:`repro.guest.kernel.GuestKernel.on_all_done`) calls
-        ``stop()`` and this loop exits after that event, leaving the
-        clock on the stopping event's timestamp — the exact stop point a
-        predicate poll would have produced, with the per-event predicate
-        call and the duplicated dead-head stripping of the peek+step
-        pair fused away.
+        The main run loop of every experiment driver: completion is
+        pushed, not polled.  A completion callback (e.g.
+        :meth:`repro.guest.kernel.GuestKernel.on_all_done` or
+        :meth:`repro.workloads.base.Workload.on_round`, wired up by
+        ``Testbed._drive``) calls ``stop()`` and this loop exits after
+        that event, leaving the clock on the stopping event's timestamp
+        — the exact stop point the per-event predicate poll of
+        :meth:`run_until_true` (the reference path) produces, with that
+        predicate call and the duplicated dead-head stripping of the
+        peek+step pair fused away.
 
         Returns True if stopped, False if the queue drained or the
         ``deadline`` (absolute cycles) passed first; on a deadline the

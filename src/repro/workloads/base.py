@@ -9,7 +9,7 @@ workload never talks to the scheduler.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -102,6 +102,7 @@ class Workload(abc.ABC):
         self.rounds = rounds
         #: round_times[thread] = [completion cycle of round 0, 1, ...].
         self.round_times: Dict[int, list] = {}
+        self._round_callbacks: List[Callable[[], None]] = []
 
     @abc.abstractmethod
     def install(self, kernel: GuestKernel, rng: np.random.Generator) -> None:
@@ -111,6 +112,13 @@ class Workload(abc.ABC):
     def _note_round(self, thread: int) -> None:
         """Programs call this (via closure) as each round completes."""
         self.round_times.setdefault(thread, []).append(self.kernel.sim.now)
+        for cb in self._round_callbacks:
+            cb()
+
+    def on_round(self, callback: Callable[[], None]) -> None:
+        """Register a callback fired each time any thread completes a
+        round — the only moment :meth:`rounds_completed` can change."""
+        self._round_callbacks.append(callback)
 
     def rounds_completed(self) -> int:
         """Rounds finished by *every* thread so far."""

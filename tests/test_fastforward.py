@@ -17,6 +17,12 @@ plausibly diverge:
 * a fault-injected hypercall delay landing inside a coalesced compute
   segment (deferred side effects interleaved with batched activities).
 
+Plus push-driven completion: the testbed drivers stop the fused run loop
+from completion callbacks (``on_all_done``, ``Workload.on_round``)
+instead of polling a predicate after every event, and must stop on the
+same event — including deadline returns, already-met targets and stale
+callbacks left behind by an earlier drive call.
+
 Plus the levers themselves: ``REPRO_NO_FASTFORWARD`` parsing and the
 :func:`closed_form_burn` ≡ ``SchedulerBase._debit`` algebra that
 justifies compute coalescing.
@@ -33,6 +39,7 @@ import pytest
 from repro import units
 from repro.config import (GuestConfig, MachineConfig, SchedulerConfig,
                           VMConfig)
+from repro.experiments.runner import run_multi_vm
 from repro.experiments.setup import Testbed as SimTestbed
 from repro.experiments.setup import weight_for_rate
 from repro.faults import FaultSpec
@@ -46,6 +53,7 @@ from repro.sim.fastforward import fastforward_enabled, set_fastforward
 from repro.sim.tracing import TraceBus
 from repro.vmm.credit import CreditScheduler, closed_form_burn
 from repro.workloads.nas import NasBenchmark
+from repro.workloads.speccpu import SpecCpuRateWorkload
 
 TICK = SchedulerConfig().tick_cycles
 
@@ -280,6 +288,113 @@ class TestFaultedHypercallDelay:
             return guest_fingerprint(
                 tb.sim, kernel,
                 *(v for _, v in sorted(stats.items())))
+
+        on, off = run_both_ways(scenario)
+        assert on == off
+
+
+# --------------------------------------------------------------------- #
+# Push-driven completion: multi-VM round targets and stale callbacks
+# --------------------------------------------------------------------- #
+def nas_spec_mix(made, rounds=3):
+    """A small Section 5.3 mix (SPEC gcc + NAS LU); ``made`` collects
+    the built workloads so a scenario can read their round times."""
+    def capture(factory):
+        def build():
+            wl = factory()
+            made.append(wl)
+            return wl
+        return build
+    return [
+        ("V1", capture(lambda: SpecCpuRateWorkload.by_name(
+            "176.gcc", scale=0.05, rounds=rounds)), False),
+        ("V2", capture(lambda: NasBenchmark.by_name(
+            "LU", scale=0.05, rounds=rounds)), True),
+    ]
+
+
+def multi_vm_outcome(result, made):
+    """Clock, event count, every workload's per-thread round times and
+    the Jain index of one multi-VM run (compared exactly)."""
+    return (made[0].kernel.sim.now, result.events_executed,
+            result.finished, result.fairness_jains, result.round_seconds,
+            [wl.round_times for wl in made])
+
+
+class TestPushDrivenCompletion:
+    def test_multi_vm_mix_bit_identical(self):
+        def scenario():
+            made = []
+            r = run_multi_vm(nas_spec_mix(made), scheduler="credit",
+                             measure_rounds=2)
+            assert r.finished
+            assert all(wl.rounds_completed() >= 2 for wl in made)
+            return multi_vm_outcome(r, made)
+
+        on, off = run_both_ways(scenario)
+        assert on == off
+
+    def test_multi_vm_deadline_return_bit_identical(self):
+        """The deadline strikes after V1's second round but before V2's:
+        round callbacks have fired without completing the target."""
+        deadline = units.ms(125)
+
+        def scenario():
+            made = []
+            r = run_multi_vm(nas_spec_mix(made), scheduler="credit",
+                             measure_rounds=2, deadline_cycles=deadline,
+                             on_deadline="return")
+            assert not r.finished
+            assert set(r.round_seconds) == {"V1"}
+            assert made[0].kernel.sim.now == deadline
+            return multi_vm_outcome(r, made)
+
+        on, off = run_both_ways(scenario)
+        assert on == off
+
+    def test_met_round_target_runs_no_event(self):
+        def scenario():
+            tb = SimTestbed(scheduler="credit", seed=1)
+            tb.add_vm("V1", workload=NasBenchmark.by_name(
+                "EP", scale=0.05, rounds=2))
+            assert tb.run_until_rounds(0)
+            assert tb.sim.events_executed == 0
+            assert tb.run_until_rounds(1, deadline_cycles=units.seconds(5))
+            reached = (tb.sim.now, tb.sim.events_executed)
+            assert tb.run_until_rounds(1)
+            assert (tb.sim.now, tb.sim.events_executed) == reached
+            return reached
+
+        on, off = run_both_ways(scenario)
+        assert on == off
+
+    def test_superseded_callbacks_never_stop_a_later_drive(self):
+        """Each drive call leaves its callbacks registered.  A callback
+        from an earlier call whose own condition has since come true must
+        not stop a later call of either kind: the generation token is
+        shared by both drivers."""
+        def scenario():
+            tb = SimTestbed(scheduler="credit", seed=1,
+                            sched_config=SchedulerConfig(
+                                work_conserving=True))
+            tb.add_vm("V1", workload=SpecCpuRateWorkload.by_name(
+                "176.gcc", scale=0.05, rounds=2))
+            tb.add_vm("V2", workload=NasBenchmark.by_name(
+                "LU", scale=0.1, rounds=4))
+            v1, v2 = tb.workloads["V1"], tb.workloads["V2"]
+            # Leaves an on_all_done callback that turns true when V1
+            # finishes, long before V2 completes its second round.
+            assert not tb.run_until_workloads_done(
+                ["V1"], deadline_cycles=units.ms(1))
+            assert tb.run_until_rounds(2, deadline_cycles=units.seconds(5))
+            assert v1.finished and v2.rounds_completed() == 2
+            # Leaves on_round callbacks that are already true and fire
+            # on every later V2 round.
+            assert tb.run_until_workloads_done(
+                ["V2"], deadline_cycles=units.seconds(5))
+            assert v2.finished
+            assert tb.sim.now == tb.guests["V2"].finished_at
+            return tb.sim.now, tb.sim.events_executed
 
         on, off = run_both_ways(scenario)
         assert on == off

@@ -16,6 +16,7 @@ from repro.parallel import (BatchJournal, CacheIntegrityWarning, CellFailure,
                             ChaosSpec, ResultCache, SupervisorPolicy,
                             WorkloadSpec, run_cells, run_supervised,
                             single_vm_cell)
+from repro.parallel.chaos import chaos_draw
 from repro.parallel.supervisor import backoff_ms, batch_key
 
 COMPUTE = WorkloadSpec("synthetic", "compute1", scale=0.2)
@@ -70,6 +71,16 @@ class TestBackoffDeterminism:
     def test_zero_base_is_no_delay(self):
         p = SupervisorPolicy(backoff_base_ms=0.0)
         assert backoff_ms(p, "k", 3) == 0.0
+
+    def test_pinned_draws(self):
+        """Backoff jitter and chaos draws name their RNG streams with one
+        shared cell-key digest; pinned values keep both unchanged."""
+        p = SupervisorPolicy(seed=3, backoff_base_ms=100.0,
+                             backoff_cap_ms=1e9)
+        assert backoff_ms(p, "cell-a", 1) == 99.73644107415643
+        assert backoff_ms(p, "cell-a", 2) == 192.52557832175793
+        assert chaos_draw(ChaosSpec(seed=7), "kill", "cell-a", 0) \
+            == 0.296162784769329
 
 
 # --------------------------------------------------------------------- #
