@@ -59,16 +59,17 @@ def baseline_config_guard():
 @pytest.fixture(scope="session", autouse=True)
 def fabric_cache(tmp_path_factory):
     """Share one result cache across every benchmark in the session."""
+    import dataclasses
+
     from repro import parallel
 
-    existing = parallel.get_default_cache()
-    if existing is not None:  # -p repro.parallel already configured one
-        yield existing
+    ctx = parallel.current_context()
+    if ctx.cache is not None:  # -p repro.parallel already installed one
+        yield ctx.cache
         return
     cache = parallel.ResultCache(tmp_path_factory.mktemp("repro-cache"))
-    parallel.set_default_cache(cache)
-    yield cache
-    parallel.set_default_cache(None)
+    with parallel.use_context(dataclasses.replace(ctx, cache=cache)):
+        yield cache
 
 
 @pytest.fixture

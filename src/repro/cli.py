@@ -40,10 +40,11 @@ worker crashes rebuild the pool and re-dispatch only the lost cells,
 ``--cell-timeout``/``--batch-deadline`` bound wall-clock budgets,
 ``--retries`` bounds deterministic per-cell retry, and each completed
 cell is journaled so an interrupted ``sweep``/``conform`` re-run with
-``--resume`` re-executes only the missing cells.  ``--no-supervise``
-restores the bare PR-3 fan-out; ``--chaos KEY=VALUE,...`` injects
-deterministic driver-level faults (worker kills, stalls, cache
-corruption — see ``repro chaos`` for the self-proving demo).
+``--resume`` re-executes only the missing cells.  ``--chaos
+KEY=VALUE,...`` injects deterministic driver-level faults (worker kills,
+stalls, cache corruption — see ``repro chaos`` for the self-proving
+demo).  These options build one :class:`~repro.parallel.RunContext`,
+installed for the duration of the command.
 
 Everything the CLI does goes through the same public API the examples
 use; it adds no behaviour, only ergonomics.
@@ -53,7 +54,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence)
 
 from repro import units
 from repro.experiments import figures as F
@@ -64,6 +66,9 @@ from repro.metrics.report import Table
 from repro.metrics.runtime import ideal_slowdown
 from repro.workloads.nas import NAS_PROFILES, NasBenchmark
 from repro.workloads.speccpu import SPEC_CPU_PROFILES, SpecCpuRateWorkload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.parallel import RunContext
 
 #: name -> zero-config callable returning a FigureResult.
 FIGURES: Dict[str, Callable[..., "F.FigureResult"]] = {
@@ -439,17 +444,10 @@ def cmd_chaos(args) -> int:
 
     from repro import parallel
     from repro.errors import ExecutionError
-    from repro.parallel import ResultCache, run_cells, single_vm_cell
+    from repro.parallel import (ResultCache, RunContext, run_cells,
+                                single_vm_cell, use_context)
     from repro.parallel.chaos import ChaosSpec
-    from repro.parallel.supervisor import (SupervisorPolicy,
-                                           set_default_chaos,
-                                           set_default_resume)
-
-    # The demo controls its own injection per phase: the fabric-wide
-    # defaults installed from --chaos/--resume must not leak into the
-    # clean reference run (main() restores them afterwards).
-    set_default_chaos(None)
-    set_default_resume(False)
+    from repro.parallel.supervisor import SupervisorPolicy
 
     chaos = _parse_chaos(args.chaos)
     if chaos is None:
@@ -483,29 +481,32 @@ def cmd_chaos(args) -> int:
     print(f"batch: {len(specs)} cell(s), {args.workload} "
           f"scale {args.scale:g}, schedulers {','.join(scheds)}")
 
-    ref = run_cells(specs, jobs=1, cache=clean_cache,
-                    policy=SupervisorPolicy())
-    ref_fp = ref.combined_fingerprint()
-    print(f"[1/3] clean serial reference        : {ref_fp}")
+    # Each phase sets its own injection: the --chaos/--resume of this
+    # command's context must not reach the clean reference run.
+    with use_context(RunContext()):
+        ref = run_cells(specs, jobs=1, cache=clean_cache,
+                        policy=SupervisorPolicy())
+        ref_fp = ref.combined_fingerprint()
+        print(f"[1/3] clean serial reference        : {ref_fp}")
 
-    jobs = args.jobs if args.jobs is not None else "2"
-    cold = run_cells(specs, jobs=jobs, cache=chaos_cache,
-                     policy=policy, chaos=chaos)
-    cold.raise_if_failed()
-    cold_fp = cold.combined_fingerprint()
-    print(f"[2/3] supervised run under chaos    : {cold_fp}")
-    if cold.supervisor is not None:
-        print(f"      {cold.supervisor.describe()}")
+        jobs = args.jobs if args.jobs is not None else "2"
+        cold = run_cells(specs, jobs=jobs, cache=chaos_cache,
+                         policy=policy, chaos=chaos)
+        cold.raise_if_failed()
+        cold_fp = cold.combined_fingerprint()
+        print(f"[2/3] supervised run under chaos    : {cold_fp}")
+        if cold.supervisor is not None:
+            print(f"      {cold.supervisor.describe()}")
 
-    warm = run_cells(specs, jobs=jobs, cache=chaos_cache,
-                     policy=policy, chaos=chaos)
-    warm.raise_if_failed()
-    warm_fp = warm.combined_fingerprint()
-    quarantined = chaos_cache.quarantined
-    print(f"[3/3] warm rerun + cache corruption : {warm_fp}")
-    print(f"      {quarantined} corrupt cache entr"
-          f"{'y' if quarantined == 1 else 'ies'} quarantined and "
-          f"re-executed")
+        warm = run_cells(specs, jobs=jobs, cache=chaos_cache,
+                         policy=policy, chaos=chaos)
+        warm.raise_if_failed()
+        warm_fp = warm.combined_fingerprint()
+        quarantined = chaos_cache.quarantined
+        print(f"[3/3] warm rerun + cache corruption : {warm_fp}")
+        print(f"      {quarantined} corrupt cache entr"
+              f"{'y' if quarantined == 1 else 'ies'} quarantined and "
+              f"re-executed")
 
     if cold_fp != ref_fp or warm_fp != ref_fp:
         raise ExecutionError(
@@ -824,10 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume an interrupted batch from its journal "
              "(.repro-cache/journal/): only missing cells re-execute")
     fabric_common.add_argument(
-        "--no-supervise", action="store_true",
-        help="bypass the supervisor: bare fan-out, no crash recovery, "
-             "timeouts, retry, or journaling")
-    fabric_common.add_argument(
         "--chaos", metavar="KEY=VALUE,...", default=None,
         help="inject deterministic driver-level faults into this batch "
              "(worker kills, stalls, cache corruption; see `repro "
@@ -1017,53 +1014,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _configure_fabric(args):
-    """Install fabric defaults (worker count + cache) from CLI options.
-
-    Returns the installed :class:`~repro.parallel.ResultCache` (or
-    ``None`` for fabric-less subcommands / ``--no-cache``) so ``main``
-    can print a one-line traffic summary afterwards.
-    """
+def _run_context(args: argparse.Namespace) -> Optional["RunContext"]:
+    """The :class:`~repro.parallel.RunContext` this command's fabric
+    options describe (``None`` for subcommands without them)."""
     if not hasattr(args, "no_cache"):
         return None  # subcommand without fabric options (list/lint)
     from repro import parallel
-    from repro.parallel import supervisor
-    if args.jobs is not None:
-        parallel.set_default_jobs(args.jobs)
-
-    if args.no_supervise:
-        for option, name in ((args.cell_timeout, "--cell-timeout"),
-                             (args.batch_deadline, "--batch-deadline"),
-                             (args.retries, "--retries"),
-                             (args.resume or None, "--resume"),
-                             (args.chaos, "--chaos")):
-            if option is not None:
-                raise SystemExit(
-                    f"{name} needs the supervisor; drop --no-supervise")
-        supervisor.set_default_policy(None)
-        supervisor.set_default_resume(False)
-        supervisor.set_default_chaos(None)
-    else:
-        policy_kwargs = {}
-        if args.cell_timeout is not None:
-            policy_kwargs["cell_timeout_s"] = args.cell_timeout
-        if args.batch_deadline is not None:
-            policy_kwargs["batch_deadline_s"] = args.batch_deadline
-        if args.retries is not None:
-            policy_kwargs["max_retries"] = args.retries
-        supervisor.set_default_policy(
-            supervisor.SupervisorPolicy(**policy_kwargs))
-        supervisor.set_default_resume(bool(args.resume))
-        supervisor.set_default_chaos(_parse_chaos(args.chaos))
-
-    if args.no_cache:
-        parallel.set_default_cache(None)
-        return None
-    cache = parallel.get_default_cache()
-    if cache is None:
-        cache = parallel.ResultCache(args.cache_dir)
-        parallel.set_default_cache(cache)
-    return cache
+    policy_kwargs = {}
+    if args.cell_timeout is not None:
+        policy_kwargs["cell_timeout_s"] = args.cell_timeout
+    if args.batch_deadline is not None:
+        policy_kwargs["batch_deadline_s"] = args.batch_deadline
+    if args.retries is not None:
+        policy_kwargs["max_retries"] = args.retries
+    return parallel.RunContext(
+        jobs=args.jobs,
+        cache=None if args.no_cache else parallel.ResultCache(
+            args.cache_dir),
+        policy=parallel.SupervisorPolicy(**policy_kwargs),
+        resume=args.resume, chaos=_parse_chaos(args.chaos))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1098,38 +1067,23 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     if getattr(args, "sanitize", False):
         from repro import analysis
         analysis.set_sanitize(True)
-    if not hasattr(args, "no_cache"):
+    ctx = _run_context(args)
+    if ctx is None:
         return int(args.func(args))
     from repro import parallel
-    from repro.parallel import supervisor
-    saved_jobs = parallel.get_default_jobs()
-    saved_cache = parallel.get_default_cache()
-    saved_policy = supervisor.get_default_policy()
-    saved_resume = supervisor.get_default_resume()
-    saved_chaos = supervisor.get_default_chaos()
-    cache = _configure_fabric(args)
-    try:
+    with parallel.use_context(ctx):
         status = args.func(args)
-        # Stderr, so piping stdout (series, tables, JSON) stays
-        # byte-stable whether the run was cold or warm.
-        if cache is not None and (cache.hits or cache.misses
-                                  or cache.stores):
-            print(cache.describe(), file=sys.stderr)
-        report = supervisor.get_last_report()
-        if report is not None and (report.retried or report.timeouts
-                                   or report.pool_rebuilds
-                                   or report.failures or report.resumed
-                                   or report.degraded):
-            print(report.describe(), file=sys.stderr)
-        return int(status)
-    finally:
-        # main() is library-callable (tests, scripts): leave the
-        # process-wide fabric defaults the way we found them.
-        parallel.set_default_jobs(saved_jobs)
-        parallel.set_default_cache(saved_cache)
-        supervisor.set_default_policy(saved_policy)
-        supervisor.set_default_resume(saved_resume)
-        supervisor.set_default_chaos(saved_chaos)
+    # Stderr, so piping stdout (series, tables, JSON) stays byte-stable
+    # whether the run was cold or warm.
+    cache = ctx.cache
+    if cache is not None and (cache.hits or cache.misses or cache.stores):
+        print(cache.describe(), file=sys.stderr)
+    report = parallel.get_last_report()
+    if report is not None and (report.retried or report.timeouts
+                               or report.pool_rebuilds or report.failures
+                               or report.resumed or report.degraded):
+        print(report.describe(), file=sys.stderr)
+    return int(status)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -44,8 +44,9 @@ from repro.conformance.scenarios import (DEFAULT_SEED,
                                          SCHEDULERS_UNDER_TEST, Scenario,
                                          generate, scenario_at)
 from repro.errors import ConfigurationError
-from repro.experiments.runner import SingleVmResult, run_cells
+from repro.experiments.runner import SingleVmResult
 from repro.faults.spec import FaultSpec
+from repro.parallel import run_cells
 from repro.parallel.cells import CellSpec, result_fingerprint
 
 __all__ = ["ConformanceReport", "conform"]

@@ -10,7 +10,7 @@ the series each figure plots.
 from repro.experiments.setup import Testbed, weight_for_rate, make_scheduler
 from repro.experiments.runner import (
     SingleVmResult, MultiVmResult, SpecJbbResult, run_single_vm,
-    run_multi_vm, run_specjbb, run_cells, PAPER_RATES,
+    run_multi_vm, run_specjbb, PAPER_RATES,
 )
 from repro.experiments.sweeps import Sweep, SweepResult
 from repro.experiments.calibration import CalibrationReport, calibrate
@@ -20,7 +20,7 @@ from repro.experiments.robustness import (FAULT_CLASSES, RobustnessResult,
 __all__ = [
     "Testbed", "weight_for_rate", "make_scheduler",
     "SingleVmResult", "MultiVmResult", "SpecJbbResult",
-    "run_single_vm", "run_multi_vm", "run_specjbb", "run_cells",
+    "run_single_vm", "run_multi_vm", "run_specjbb",
     "PAPER_RATES",
     "Sweep", "SweepResult", "CalibrationReport", "calibrate",
     "FAULT_CLASSES", "RobustnessResult", "robustness_report",

@@ -15,8 +15,9 @@ independent simulations, so the batch fans out over ``jobs`` worker
 processes and unchanged cells come back from the content-addressed
 result cache; aggregation iterates the driver's own spec list, so the
 produced series are bit-identical at any job count.  ``jobs=None`` and
-``cache=None`` defer to the fabric defaults (CLI ``--jobs``/``--no-cache``,
-``REPRO_JOBS``, or the pytest plugin).
+``cache=None`` defer to the installed run context (built from the CLI's
+``--jobs``/``--no-cache`` or the pytest plugin's options) and then to
+``REPRO_JOBS``.
 
 Scale note: ``scale`` shrinks benchmark iteration counts (default runs a
 few simulated seconds instead of the paper's hundreds) and ``seeds``
@@ -31,10 +32,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import units
 from repro.experiments.runner import (PAPER_RATES, SingleVmResult,
-                                      SpecJbbResult, run_cells)
+                                      SpecJbbResult)
 from repro.metrics.report import format_series
 from repro.metrics.runtime import ideal_slowdown
 from repro.metrics.throughput import bops_score
+from repro.parallel import run_cells
 from repro.parallel.cache import ResultCache
 from repro.parallel.cells import (CellSpec, WorkloadSpec, multi_vm_cell,
                                   single_vm_cell, specjbb_cell)

@@ -35,8 +35,7 @@ from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
 
 from repro import units
 from repro.errors import ConfigurationError
-from repro.experiments.runner import (MultiVmResult, SingleVmResult,
-                                      run_cells)
+from repro.experiments.runner import MultiVmResult, SingleVmResult
 from repro.faults import FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - break the repro.parallel cycle
@@ -168,8 +167,8 @@ def robustness_report(workload: str = "LU", scale: float = 0.6,
     lock-holder preemption is harshest and the adaptive loop earns its
     keep, hence where sensor faults hurt the most.
     """
-    from repro.parallel.cells import (WorkloadSpec, multi_vm_cell,
-                                      single_vm_cell)
+    from repro.parallel import (WorkloadSpec, multi_vm_cell, run_cells,
+                                single_vm_cell)
 
     class_names = _resolve_classes(classes)
     wl = WorkloadSpec("nas", workload, scale=scale)

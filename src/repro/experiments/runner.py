@@ -17,17 +17,16 @@ the default) or returns a structured result with ``finished=False``
 a timed-out cell crossing a process-pool boundary reports *what* timed
 out instead of poisoning the whole batch.
 
-Batch execution: :func:`run_cells` fans a list of declarative
-:class:`~repro.parallel.cells.CellSpec` out over the parallel experiment
-fabric (process pool + content-addressed result cache) and merges the
-results deterministically — see :mod:`repro.parallel`.
+Batch execution: :func:`repro.parallel.run_cells` runs a list of
+declarative :class:`~repro.parallel.cells.CellSpec` on the parallel
+experiment fabric (process pool + content-addressed result cache) and
+merges the results deterministically — see :mod:`repro.parallel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.config import SchedulerConfig
@@ -38,13 +37,6 @@ from repro.metrics.fairness import FairnessReport
 from repro.metrics.timeline import TimelineCollector
 from repro.workloads.base import Workload
 from repro.workloads.specjbb import SpecJbbWorkload
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.parallel.cache import ResultCache
-    from repro.parallel.cells import CellSpec
-    from repro.parallel.chaos import ChaosSpec
-    from repro.parallel.executor import CellResults
-    from repro.parallel.supervisor import SupervisorPolicy
 
 #: The paper's four VCPU online rates (Section 5.2).
 PAPER_RATES: Tuple[float, ...] = (1.0, 2.0 / 3.0, 0.4, 2.0 / 9.0)
@@ -331,25 +323,3 @@ def run_specjbb(warehouses: int,
                          warehouses=warehouses, bops=bops,
                          window_seconds=units.to_seconds(window_cycles),
                          events_executed=tb.sim.events_executed)
-
-
-def run_cells(specs: Iterable["CellSpec"],
-              jobs: Optional[Union[int, str]] = None,
-              cache: Optional["ResultCache"] = None,
-              progress: Optional[Callable[[str], None]] = None,
-              policy: Optional["SupervisorPolicy"] = None,
-              resume: Optional[bool] = None,
-              chaos: Optional["ChaosSpec"] = None) -> "CellResults":
-    """Batch entry point: run declarative cells on the parallel fabric.
-
-    Thin re-export of :func:`repro.parallel.executor.run_cells` so
-    experiment code can stay within ``repro.experiments``; see
-    :mod:`repro.parallel` for the CellSpec vocabulary, job resolution
-    (``jobs``/``REPRO_JOBS``/fabric default), the result cache, and —
-    when ``policy``/``resume``/``chaos`` are given or fabric-wide
-    supervision defaults are installed — the supervised execution path
-    (:mod:`repro.parallel.supervisor`).
-    """
-    from repro.parallel.executor import run_cells as _run_cells
-    return _run_cells(specs, jobs=jobs, cache=cache, progress=progress,
-                      policy=policy, resume=resume, chaos=chaos)

@@ -14,14 +14,18 @@ cache underneath.  Three ways in:
                for r in (1.0, 0.4) for s in (1, 2)]
       results = run_cells(cells, jobs=8)
 
+  Every batch runs supervised (:mod:`repro.parallel.supervisor`).
+  ``with use_context(RunContext(jobs=..., cache=...)):`` installs the
+  defaults every batch in the block takes.
+
 * **CLI**: every simulation-running ``repro`` subcommand takes
   ``--jobs N|auto`` and ``--no-cache`` (see :mod:`repro.cli`); the
   ``REPRO_JOBS`` environment variable sets a default.
 
 * **pytest plugin**: ``pytest benchmarks/ -p repro.parallel --jobs auto``
   loads this module as a plugin, adding ``--jobs`` / ``--no-cache`` /
-  ``--repro-cache-dir`` options that configure the fabric for the whole
-  session and write cache statistics at session end.
+  ``--repro-cache-dir`` options that build the session's run context
+  and write cache statistics at session end.
 
 Determinism is the design constraint throughout: a serial run and an
 8-way run of the same batch produce bit-identical figure series and
@@ -30,6 +34,8 @@ fingerprints (see :mod:`repro.parallel.executor` and docs/parallel.md).
 
 from __future__ import annotations
 
+import contextlib
+
 from repro.parallel.cache import (DEFAULT_CACHE_DIR, CacheIntegrityWarning,
                                   ResultCache, default_salt)
 from repro.parallel.cells import (CellSpec, WorkloadSpec, canonical_value,
@@ -37,19 +43,14 @@ from repro.parallel.cells import (CellSpec, WorkloadSpec, canonical_value,
                                   result_fingerprint, single_vm_cell,
                                   specjbb_cell)
 from repro.parallel.chaos import ChaosSpec
-from repro.parallel.executor import (CellOutcome, CellResults,
-                                     get_default_cache, get_default_jobs,
-                                     pool_map, resolve_jobs, run_cells,
-                                     set_default_cache, set_default_jobs)
-from repro.parallel.supervisor import (BatchJournal, CellFailure,
+from repro.parallel.executor import (CellFailure, CellOutcome, CellResults,
+                                     RunContext, current_context, pool_map,
+                                     resolve_jobs, use_context)
+from repro.parallel.supervisor import (BatchJournal,
                                        SupervisorDegradedWarning,
                                        SupervisorPolicy, SupervisorReport,
-                                       get_default_chaos,
-                                       get_default_policy,
-                                       get_default_resume, get_last_report,
-                                       run_supervised, set_default_chaos,
-                                       set_default_policy,
-                                       set_default_resume)
+                                       get_last_report, run_cells,
+                                       run_supervised)
 
 __all__ = [
     "BatchJournal",
@@ -61,18 +62,15 @@ __all__ = [
     "ChaosSpec",
     "DEFAULT_CACHE_DIR",
     "ResultCache",
+    "RunContext",
     "SupervisorDegradedWarning",
     "SupervisorPolicy",
     "SupervisorReport",
     "WorkloadSpec",
     "canonical_value",
+    "current_context",
     "default_salt",
     "execute_cell",
-    "get_default_cache",
-    "get_default_chaos",
-    "get_default_jobs",
-    "get_default_policy",
-    "get_default_resume",
     "get_last_report",
     "multi_vm_cell",
     "pool_map",
@@ -80,13 +78,9 @@ __all__ = [
     "result_fingerprint",
     "run_cells",
     "run_supervised",
-    "set_default_cache",
-    "set_default_chaos",
-    "set_default_jobs",
-    "set_default_policy",
-    "set_default_resume",
     "single_vm_cell",
     "specjbb_cell",
+    "use_context",
 ]
 
 
@@ -114,21 +108,19 @@ def pytest_addoption(parser) -> None:
 
 
 def pytest_configure(config) -> None:
-    """pytest hook: install fabric defaults from the session options."""
-    jobs = config.getoption("--jobs", default=None)
-    if jobs is not None:
-        set_default_jobs(jobs)
+    """pytest hook: install the session's run context from its options.
+
+    The context stays installed until pytest's config cleanup, which
+    first writes the cache statistics to ``<cache>/stats.json``.
+    """
     if config.getoption("repro_no_cache", default=False):
-        set_default_cache(None)
-    elif get_default_cache() is None:
-        cache_dir = config.getoption("--repro-cache-dir", default=None)
-        set_default_cache(ResultCache(cache_dir))
-
-
-def pytest_unconfigure(config) -> None:
-    """pytest hook: persist cache stats and reset the fabric defaults."""
-    cache = get_default_cache()
+        cache = None
+    else:
+        cache = ResultCache(config.getoption("--repro-cache-dir",
+                                             default=None))
+    stack = contextlib.ExitStack()
+    stack.enter_context(use_context(RunContext(
+        jobs=config.getoption("--jobs", default=None), cache=cache)))
     if cache is not None:
-        cache.write_stats(cache.root / "stats.json")
-    set_default_cache(None)
-    set_default_jobs(None)
+        stack.callback(cache.write_stats, cache.root / "stats.json")
+    config.add_cleanup(stack.close)

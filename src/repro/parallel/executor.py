@@ -1,14 +1,14 @@
-"""Process-pool fan-out with deterministic merge.
+"""Run context, job resolution, pool plumbing and batch results.
 
-:func:`run_cells` is the execution fabric's core: it takes a batch of
-:class:`~repro.parallel.cells.CellSpec` and produces one result per
-*distinct* spec, using
+Every cell batch runs through :func:`repro.parallel.run_cells`, which
+*is* the supervised loop :func:`repro.parallel.supervisor.run_supervised`.
+This module holds what that loop stands on:
 
-1. the content-addressed cache (hits never touch a worker),
-2. a spawn-safe :class:`~concurrent.futures.ProcessPoolExecutor` for the
-   remaining cells when ``jobs > 1``,
-3. in-process serial execution when ``jobs == 1`` (no pool overhead, and
-   the reference behaviour parallel runs are gated against).
+1. :class:`RunContext`, the one frozen bundle of run settings (worker
+   count, result cache, supervision policy, resume, chaos) that a front
+   end builds once and installs with ``with use_context(ctx):``;
+2. job resolution and the spawn-safe process pool (:func:`pool_map`);
+3. :class:`CellResults`, one batch's results merged by canonical key.
 
 Determinism contract
 --------------------
@@ -20,74 +20,45 @@ process scheduling can reorder *completion*, never *content*.  The
 figure drivers aggregate by iterating their own spec lists (a fixed
 order), so series are byte-stable too.
 
-Job-count resolution: explicit ``jobs`` argument > fabric default set by
-:func:`set_default_jobs` (the CLI's ``--jobs`` / pytest's ``--jobs``) >
-the ``REPRO_JOBS`` environment variable > 1.  ``"auto"`` or ``0`` means
+Job-count resolution: explicit ``jobs`` argument > the installed
+context's ``jobs`` (the CLI's ``--jobs`` / pytest's ``--jobs``) > the
+``REPRO_JOBS`` environment variable > 1.  ``"auto"`` or ``0`` means
 one worker per CPU.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator,
-                    List, Optional, Sequence, Tuple, TypeVar, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
+                    Optional, Sequence, TypeVar, Union)
 
 from repro.errors import CellTimeoutError, ConfigurationError, ExecutionError
 from repro.parallel.cache import ResultCache
-from repro.parallel.cells import CellSpec, execute_cell, result_fingerprint
+from repro.parallel.cells import CellSpec
 
 if TYPE_CHECKING:
     from repro.parallel.chaos import ChaosSpec
-    from repro.parallel.supervisor import (CellFailure, SupervisorPolicy,
-                                           SupervisorReport)
+    from repro.parallel.supervisor import SupervisorPolicy, SupervisorReport
 
 __all__ = [
+    "CellFailure",
     "CellOutcome",
     "CellResults",
-    "get_default_cache",
-    "get_default_jobs",
+    "RunContext",
+    "current_context",
     "pool_map",
     "resolve_jobs",
-    "run_cells",
-    "set_default_cache",
-    "set_default_jobs",
+    "use_context",
 ]
 
 _JOBS_ENV = "REPRO_JOBS"
 
-#: Fabric-wide defaults, set once by the CLI / pytest plugin front-ends.
-_default_jobs: Optional[Union[int, str]] = None
-_default_cache: Optional[ResultCache] = None
-
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-
-def set_default_jobs(jobs: Optional[Union[int, str]]) -> None:
-    """Set the fabric-wide default worker count (``None`` resets)."""
-    global _default_jobs
-    if jobs is not None:
-        _coerce_jobs(jobs)  # validate eagerly so bad input fails loudly
-    _default_jobs = jobs
-
-
-def get_default_jobs() -> Optional[Union[int, str]]:
-    """The fabric-wide default worker count (unresolved form)."""
-    return _default_jobs
-
-
-def set_default_cache(cache: Optional[ResultCache]) -> None:
-    """Install (or clear) the fabric-wide default result cache."""
-    global _default_cache
-    _default_cache = cache
-
-
-def get_default_cache() -> Optional[ResultCache]:
-    """The fabric-wide default result cache (``None`` = caching off)."""
-    return _default_cache
 
 
 def _coerce_jobs(jobs: Union[int, str]) -> int:
@@ -107,10 +78,57 @@ def _coerce_jobs(jobs: Union[int, str]) -> int:
     return jobs
 
 
+# --------------------------------------------------------------------- #
+# Run context
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class RunContext:
+    """The settings every batch takes its defaults from.
+
+    A front end builds one (the CLI from its flags, the pytest plugin
+    from its options) and installs it with :func:`use_context`; a
+    keyword passed to :func:`~repro.parallel.run_cells` overrides one
+    field for one batch.  ``cache=None`` runs uncached (and without a
+    journal); ``policy=None`` is the default
+    :class:`~repro.parallel.supervisor.SupervisorPolicy` — no timeouts,
+    light retry.
+    """
+
+    jobs: Optional[Union[int, str]] = None
+    cache: Optional[ResultCache] = None
+    policy: Optional["SupervisorPolicy"] = None
+    resume: bool = False
+    chaos: Optional["ChaosSpec"] = None
+
+    def __post_init__(self) -> None:
+        if self.jobs is not None:
+            _coerce_jobs(self.jobs)  # bad input fails when built, loudly
+
+
+_context = RunContext()
+
+
+def current_context() -> RunContext:
+    """The installed run context (all defaults when none is)."""
+    return _context
+
+
+@contextlib.contextmanager
+def use_context(ctx: RunContext) -> Iterator[RunContext]:
+    """Install ``ctx`` for the ``with`` block; the previous one returns
+    on exit, so front ends nest and library callers stay unaffected."""
+    global _context
+    saved, _context = _context, ctx
+    try:
+        yield ctx
+    finally:
+        _context = saved
+
+
 def resolve_jobs(jobs: Optional[Union[int, str]] = None) -> int:
     """Resolve an effective worker count from the precedence chain."""
     if jobs is None:
-        jobs = _default_jobs
+        jobs = _context.jobs
     if jobs is None:
         env = os.environ.get(_JOBS_ENV)
         if env is not None and env.strip():
@@ -184,6 +202,37 @@ class CellOutcome:
     cached: bool
 
 
+@dataclass(frozen=True)
+class CellFailure:
+    """A cell that could not produce a result within its budgets.
+
+    Stored as the outcome *value* of the failed cell, so a batch with
+    failures still merges, fingerprints, and renders — callers that
+    need all cells to succeed call :meth:`CellResults.raise_if_failed`,
+    and :meth:`CellResults.value` raises for a failed cell.
+    """
+
+    key: str
+    #: ``timeout`` (cell or batch deadline), ``crash`` (worker death /
+    #: injected kill), or ``error`` (the cell raised).
+    kind: str
+    attempts: int
+    detail: str
+
+
+def _failure_error(failed: Sequence[CellFailure],
+                   summary: str) -> ExecutionError:
+    """:class:`~repro.errors.CellTimeoutError` when any failure is a
+    timeout (cell budget or batch deadline), otherwise
+    :class:`~repro.errors.ExecutionError`."""
+    detail = "; ".join(
+        f"{f.kind} after {f.attempts} attempt(s): {f.detail}"
+        for f in failed[:3]) + ("" if len(failed) <= 3 else "; …")
+    error = CellTimeoutError if any(f.kind == "timeout" for f in failed) \
+        else ExecutionError
+    return error(f"{summary}: {detail}")
+
+
 class CellResults:
     """Results of one :func:`run_cells` batch, keyed by canonical spec.
 
@@ -194,8 +243,7 @@ class CellResults:
 
     def __init__(self, outcomes: Dict[str, CellOutcome]) -> None:
         self._outcomes = {k: outcomes[k] for k in sorted(outcomes)}
-        #: Set by :func:`repro.parallel.supervisor.run_supervised`;
-        #: ``None`` for unsupervised batches.
+        #: Set by :func:`repro.parallel.supervisor.run_supervised`.
         self.supervisor: Optional["SupervisorReport"] = None
 
     def __len__(self) -> int:
@@ -209,15 +257,19 @@ class CellResults:
         return self._outcomes[key]
 
     def value(self, spec: Union[CellSpec, str]) -> object:
-        return self.outcome(spec).value
+        """The cell's result; a failed cell raises what
+        :meth:`raise_if_failed` would raise for it alone."""
+        value = self.outcome(spec).value
+        if isinstance(value, CellFailure):
+            raise _failure_error([value], "supervised cell failed")
+        return value
 
     @property
     def cache_hits(self) -> int:
         return sum(1 for o in self._outcomes.values() if o.cached)
 
-    def failures(self) -> List["CellFailure"]:
+    def failures(self) -> List[CellFailure]:
         """Cells whose outcome is a structured supervision failure."""
-        from repro.parallel.supervisor import CellFailure
         return [o.value for o in self._outcomes.values()
                 if isinstance(o.value, CellFailure)]
 
@@ -227,23 +279,14 @@ class CellResults:
         return not self.failures()
 
     def raise_if_failed(self) -> None:
-        """Raise on supervision failures (the strict callers' gate).
-
+        """Raise on supervision failures (the strict callers' gate):
         :class:`~repro.errors.CellTimeoutError` when any failure is a
-        timeout (cell budget or batch deadline), otherwise
-        :class:`~repro.errors.ExecutionError`.
-        """
+        timeout, otherwise :class:`~repro.errors.ExecutionError`."""
         failed = self.failures()
-        if not failed:
-            return
-        detail = "; ".join(
-            f"{f.kind} after {f.attempts} attempt(s): {f.detail}"
-            for f in failed[:3]) + ("" if len(failed) <= 3 else "; …")
-        message = (f"{len(failed)} of {len(self)} supervised cell(s) "
-                   f"failed: {detail}")
-        if any(f.kind == "timeout" for f in failed):
-            raise CellTimeoutError(message)
-        raise ExecutionError(message)
+        if failed:
+            raise _failure_error(
+                failed, f"{len(failed)} of {len(self)} supervised cell(s) "
+                        f"failed")
 
     def fingerprints(self) -> Dict[str, int]:
         """key -> 64-bit result fingerprint, in sorted-key order."""
@@ -261,86 +304,3 @@ class CellResults:
             digest.update(key.encode("utf-8"))
             digest.update(outcome.fingerprint.to_bytes(8, "big"))
         return digest.hexdigest()[:16]
-
-
-def run_cells(specs: Iterable[CellSpec],
-              jobs: Optional[Union[int, str]] = None,
-              cache: Optional[ResultCache] = None,
-              progress: Optional[Callable[[str], None]] = None,
-              policy: Optional["SupervisorPolicy"] = None,
-              resume: Optional[bool] = None,
-              chaos: Optional["ChaosSpec"] = None) -> CellResults:
-    """Execute a batch of cells: cache-first, then fan out, then merge.
-
-    Duplicate specs are coalesced (each distinct simulation runs once).
-    ``cache=None`` uses the fabric default installed by
-    :func:`set_default_cache`; pass an explicit :class:`ResultCache` to
-    override, and note there is no "definitely uncached" sentinel —
-    clear the default if a batch must not be cached.
-
-    Supervision: passing ``policy``/``resume``/``chaos`` (or installing
-    fabric-wide defaults via
-    :func:`repro.parallel.supervisor.set_default_policy` and friends —
-    the CLI does) routes the batch through
-    :func:`repro.parallel.supervisor.run_supervised`, which adds
-    timeouts, crash recovery, deterministic retry, and journaled resume
-    while preserving bit-identical merged results.  Without any of
-    those, this is the original direct fan-out.
-    """
-    if policy is not None or resume or chaos is not None:
-        supervised = True
-    else:
-        from repro.parallel import supervisor
-        supervised = supervisor.supervision_requested()
-    if supervised:
-        from repro.parallel import supervisor
-        return supervisor.run_supervised(
-            specs, jobs=jobs, cache=cache, policy=policy,
-            progress=progress, resume=bool(resume), chaos=chaos)
-    if cache is None:
-        cache = _default_cache
-    unique: Dict[str, CellSpec] = {}
-    for spec in specs:
-        unique.setdefault(spec.canonical(), spec)
-
-    outcomes: Dict[str, CellOutcome] = {}
-    todo: List[Tuple[str, CellSpec]] = []
-    for key in sorted(unique):
-        spec = unique[key]
-        if cache is not None:
-            hit, value = cache.get(spec)
-            if hit:
-                outcomes[key] = CellOutcome(
-                    key=key, value=value,
-                    fingerprint=result_fingerprint(value), cached=True)
-                continue
-        todo.append((key, spec))
-
-    if todo:
-        workers = min(resolve_jobs(jobs), len(todo))
-        if progress is not None:
-            progress(f"running {len(todo)} cell(s) "
-                     f"({len(outcomes)} cached) with {workers} worker(s)")
-        if workers <= 1:
-            computed = [(key, execute_cell(spec)) for key, spec in todo]
-        else:
-            pool = _make_pool(workers)
-            try:
-                values = pool.map(execute_cell,
-                                  [spec for _, spec in todo])
-                computed = list(zip((key for key, _ in todo), values))
-            except BaseException:
-                # Ctrl-C (or any abort) cancels queued cells and drops
-                # the pool instead of leaking it; see pool_map.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            pool.shutdown(wait=True)
-        # Sorted-key merge: the aggregation order downstream never
-        # depends on worker completion order.
-        for key, value in sorted(computed, key=lambda kv: kv[0]):
-            if cache is not None:
-                cache.put(unique[key], value)
-            outcomes[key] = CellOutcome(
-                key=key, value=value,
-                fingerprint=result_fingerprint(value), cached=False)
-    return CellResults(outcomes)

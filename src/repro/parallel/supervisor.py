@@ -1,8 +1,9 @@
 """Supervised execution: crash-recovery, retry, timeouts, journaled resume.
 
-:func:`run_supervised` wraps the plain fan-out of
-:func:`repro.parallel.executor.run_cells` in a supervision loop that makes
-a multi-cell batch *survivable* without perturbing its results:
+:func:`run_supervised` — exported as :func:`repro.parallel.run_cells`,
+the one way a batch runs — executes cells cache-first in a supervision
+loop that makes a multi-cell batch *survivable* without perturbing its
+results:
 
 * **Timeouts** — a per-cell wall-clock budget (``cell_timeout_s``) and a
   whole-batch deadline (``batch_deadline_s``).  A cell that overruns is
@@ -60,8 +61,9 @@ from repro.parallel import chaos as chaos_mod
 from repro.parallel.cache import ResultCache
 from repro.parallel.cells import CellSpec, execute_cell, result_fingerprint
 from repro.parallel.chaos import ChaosKill, ChaosSpec, cell_digest
-from repro.parallel.executor import (CellOutcome, CellResults,
-                                     get_default_cache, resolve_jobs)
+from repro.parallel.executor import (CellFailure, CellOutcome, CellResults,
+                                     _make_pool, current_context,
+                                     resolve_jobs)
 from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -72,14 +74,9 @@ __all__ = [
     "SupervisorReport",
     "backoff_ms",
     "batch_key",
-    "get_default_chaos",
-    "get_default_policy",
-    "get_default_resume",
     "get_last_report",
+    "run_cells",
     "run_supervised",
-    "set_default_chaos",
-    "set_default_policy",
-    "set_default_resume",
 ]
 
 #: Subdirectory (under the cache root) holding batch journals.
@@ -139,24 +136,6 @@ class SupervisorPolicy:
             raise ConfigurationError("backoff delays must be >= 0")
 
 
-@dataclass(frozen=True)
-class CellFailure:
-    """A cell that could not produce a result within its budgets.
-
-    Stored as the outcome *value* of the failed cell, so a batch with
-    failures still merges, fingerprints, and renders — callers that
-    need all cells to succeed call
-    :meth:`~repro.parallel.executor.CellResults.raise_if_failed`.
-    """
-
-    key: str
-    #: ``timeout`` (cell or batch deadline), ``crash`` (worker death /
-    #: injected kill), or ``error`` (the cell raised).
-    kind: str
-    attempts: int
-    detail: str
-
-
 @dataclass
 class SupervisorReport:
     """What supervision did to one batch (the CLI's stderr summary)."""
@@ -185,58 +164,12 @@ class SupervisorReport:
         return text
 
 
-# --------------------------------------------------------------------- #
-# Fabric-wide supervision defaults (set by the CLI front-end)
-# --------------------------------------------------------------------- #
-_default_policy: Optional[SupervisorPolicy] = None
-_default_resume: bool = False
-_default_chaos: Optional[ChaosSpec] = None
 _last_report: Optional[SupervisorReport] = None
-
-
-def set_default_policy(policy: Optional[SupervisorPolicy]) -> None:
-    """Install (or clear) the fabric-wide supervision policy."""
-    global _default_policy
-    _default_policy = policy
-
-
-def get_default_policy() -> Optional[SupervisorPolicy]:
-    """The installed fabric-wide policy (``None`` = light default)."""
-    return _default_policy
-
-
-def set_default_resume(resume: bool) -> None:
-    """Make every supervised batch attempt a journal resume."""
-    global _default_resume
-    _default_resume = resume
-
-
-def get_default_resume() -> bool:
-    """Is fabric-wide journal resume requested (the CLI's ``--resume``)?"""
-    return _default_resume
-
-
-def set_default_chaos(chaos: Optional[ChaosSpec]) -> None:
-    """Install (or clear) a fabric-wide chaos injection spec."""
-    global _default_chaos
-    _default_chaos = chaos
-
-
-def get_default_chaos() -> Optional[ChaosSpec]:
-    """The installed fabric-wide chaos spec (``None`` = no injection)."""
-    return _default_chaos
 
 
 def get_last_report() -> Optional[SupervisorReport]:
     """The report of the most recent supervised batch in this process."""
     return _last_report
-
-
-def supervision_requested() -> bool:
-    """Do the installed fabric defaults ask for the supervised path?"""
-    return (_default_policy is not None or _default_resume
-            or (_default_chaos is not None
-                and not _default_chaos.is_noop()))
 
 
 # --------------------------------------------------------------------- #
@@ -661,31 +594,37 @@ class _Supervisor:
 def run_supervised(specs: Iterable[CellSpec],
                    jobs: Optional[Union[int, str]] = None,
                    cache: Optional[ResultCache] = None,
-                   policy: Optional[SupervisorPolicy] = None,
                    progress: Optional[Callable[[str], None]] = None,
-                   journal_dir: Optional[Union[str, Path]] = None,
-                   resume: bool = False,
+                   policy: Optional[SupervisorPolicy] = None,
+                   resume: Optional[bool] = None,
                    chaos: Optional[ChaosSpec] = None) -> CellResults:
-    """Execute a batch under supervision; the hardened ``run_cells``.
+    """Execute a batch of cells: cache-first, supervised, merged by key.
 
-    Drop-in compatible with
-    :func:`repro.parallel.executor.run_cells` — identical merged results
-    for a batch that needs no supervision — plus the policy/journal/chaos
-    keywords.  Failed cells surface as :class:`CellFailure` outcome
-    values (check :meth:`CellResults.raise_if_failed`); the batch itself
-    always completes.  The :class:`SupervisorReport` is attached to the
+    Duplicate specs are coalesced (each distinct simulation runs once).
+    Every keyword left ``None`` comes from the installed
+    :class:`~repro.parallel.executor.RunContext`; there is no
+    "definitely uncached" sentinel — install a context without a cache
+    if a batch must not be cached.  With a cache, every completed cell
+    is journaled under ``<cache>/journal/`` so ``resume=True`` can
+    re-execute only the cells an interrupted run never finished.
+
+    Failed cells surface as :class:`CellFailure` outcome values (check
+    :meth:`CellResults.raise_if_failed`); the batch itself always
+    completes.  The :class:`SupervisorReport` is attached to the
     returned results as ``results.supervisor``.
     """
     global _last_report
-    if policy is None:
-        policy = _default_policy if _default_policy is not None \
-            else SupervisorPolicy()
-    if cache is None:
-        cache = get_default_cache()
-    if chaos is None:
-        chaos = _default_chaos
+    ctx = current_context()
+    cache = ctx.cache if cache is None else cache
+    policy = policy or ctx.policy or SupervisorPolicy()
+    resume = ctx.resume if resume is None else resume
+    chaos = ctx.chaos if chaos is None else chaos
     if chaos is not None and chaos.is_noop():
         chaos = None
+    if resume and cache is None:
+        raise ConfigurationError(
+            "resume needs the result cache: the batch journal lives "
+            "under <cache>/journal")
 
     unique: Dict[str, CellSpec] = {}
     for spec in specs:
@@ -701,17 +640,10 @@ def run_supervised(specs: Iterable[CellSpec],
             chaos, cache, unique.values())
 
     journal: Optional[BatchJournal] = None
-    salt = cache.salt if cache is not None else ""
-    if journal_dir is None and cache is not None:
-        journal_dir = cache.root / JOURNAL_DIR
-    if journal_dir is not None:
-        journal = BatchJournal(journal_dir, batch_key(unique, salt))
-    if resume and journal is None:
-        raise ConfigurationError(
-            "resume needs a journal: pass journal_dir or enable the "
-            "result cache")
     replayed: Dict[str, Dict[str, object]] = {}
-    if journal is not None:
+    if cache is not None:
+        journal = BatchJournal(cache.root / JOURNAL_DIR,
+                               batch_key(unique, cache.salt))
         if resume:
             replayed = journal.replay()
         else:
@@ -745,10 +677,13 @@ def run_supervised(specs: Iterable[CellSpec],
         if workers <= 1:
             sup.run_serial(todo)
         else:
-            from repro.parallel.executor import _make_pool
             sup.run_pool(todo, _make_pool)
         outcomes.update(sup.outcomes)
 
     results = CellResults(outcomes)
     results.supervisor = report
     return results
+
+
+#: The one way a batch runs (re-exported as :func:`repro.parallel.run_cells`).
+run_cells = run_supervised

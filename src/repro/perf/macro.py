@@ -89,8 +89,8 @@ def parallel_scaling(quick: bool = False) -> BenchResult:
     import tempfile
 
     from repro.experiments.runner import SingleVmResult
-    from repro.parallel import (ResultCache, WorkloadSpec, get_default_cache,
-                                run_cells, set_default_cache, single_vm_cell)
+    from repro.parallel import (ResultCache, RunContext, WorkloadSpec,
+                                run_cells, single_vm_cell, use_context)
 
     scale = 0.05 if quick else 0.15
     wl = WorkloadSpec("nas", "LU", scale=scale)
@@ -100,8 +100,6 @@ def parallel_scaling(quick: bool = False) -> BenchResult:
              for seed in (1, 2)]
     levels = (1, 2) if quick else (1, 2, 4, 8)
 
-    saved = get_default_cache()
-    set_default_cache(None)  # cold timings must never touch a real cache
     tmp = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
         walls: Dict[int, float] = {}
@@ -109,7 +107,9 @@ def parallel_scaling(quick: bool = False) -> BenchResult:
         events = 0
         for jobs in levels:
             def drive(jobs: int = jobs) -> int:
-                results = run_cells(cells, jobs=jobs)
+                # Cold timings: a default context never touches a cache.
+                with use_context(RunContext()):
+                    results = run_cells(cells, jobs=jobs)
                 nonlocal fingerprint_hex
                 combined = results.combined_fingerprint()
                 assert fingerprint_hex in (None, combined), \
@@ -146,7 +146,6 @@ def parallel_scaling(quick: bool = False) -> BenchResult:
             extra=extra,
         )
     finally:
-        set_default_cache(saved)
         shutil.rmtree(tmp, ignore_errors=True)
 
 

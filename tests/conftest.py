@@ -70,6 +70,14 @@ def small_machine(sim) -> Machine:
     return Machine(MachineConfig(num_pcpus=2, sockets=1), sim)
 
 
+def reference_fingerprints(specs) -> dict:
+    """Cell key -> fingerprint of executing each cell directly, outside
+    any fabric loop: the clean reference a batch run is checked against."""
+    from repro.parallel import execute_cell, result_fingerprint
+    return {spec.canonical(): result_fingerprint(execute_cell(spec))
+            for spec in specs}
+
+
 def quiet_guest_config(**overrides) -> GuestConfig:
     """Guest config without the IRQ daemon, for deterministic unit tests."""
     defaults = dict(irq_interval_cycles=0)

@@ -8,12 +8,12 @@ import pytest
 from repro.errors import (CacheIntegrityError, CellTimeoutError,
                           ConfigurationError, ExecutionError)
 from repro.parallel import (ChaosSpec, ResultCache, SupervisorPolicy,
-                            WorkloadSpec, run_cells, run_supervised,
-                            single_vm_cell)
+                            WorkloadSpec, run_supervised, single_vm_cell)
 from repro.parallel.chaos import (ChaosError, ChaosKill, ChaosPoisoned,
                                   apply_worker_chaos, chaos_draw,
                                   chaos_fabric, corrupt_cache_entries,
                                   is_poisoned)
+from tests.conftest import reference_fingerprints
 
 assert chaos_fabric is not None  # fixture import doubles as the plugin
 
@@ -166,7 +166,7 @@ class TestCorruption:
 class TestDeterminismGate:
     def test_serial_kills_and_errors_converge(self, tmp_path):
         specs = _cells(3)
-        clean = run_cells(specs, jobs=1, cache=None)
+        clean = reference_fingerprints(specs)
         chaotic = run_supervised(
             specs, jobs=1, cache=ResultCache(tmp_path / "c"),
             policy=SupervisorPolicy(max_retries=2, backoff_base_ms=0.0),
@@ -174,20 +174,18 @@ class TestDeterminismGate:
         # Every first attempt dies (in-process ChaosKill); the spared
         # final attempts converge to the clean results.
         assert chaotic.ok
-        assert chaotic.combined_fingerprint() == \
-            clean.combined_fingerprint()
+        assert chaotic.fingerprints() == clean
         report = chaotic.supervisor
         assert report is not None
         assert report.retried >= 3
 
     def test_pool_chaos_bit_identical_to_clean_serial(self, chaos_fabric):
         specs = _cells(4)
-        clean = run_cells(specs, jobs=1, cache=None)
+        clean = reference_fingerprints(specs)
         chaos = ChaosSpec(seed=7, kill_rate=0.5, error_rate=0.4)
         chaotic = chaos_fabric(specs, chaos=chaos)
         assert chaotic.ok
-        assert chaotic.combined_fingerprint() == \
-            clean.combined_fingerprint()
+        assert chaotic.fingerprints() == clean
         report = chaotic.supervisor
         assert report is not None
         assert report.executed == 4
@@ -197,7 +195,7 @@ class TestDeterminismGate:
 
     def test_pool_stall_trips_cell_timeout_then_recovers(self, tmp_path):
         specs = _cells(2)
-        clean = run_cells(specs, jobs=1, cache=None)
+        clean = reference_fingerprints(specs)
         # Every non-final attempt stalls far past the cell budget; the
         # supervisor must kill the pool, charge the timeout, and let the
         # spared final attempts finish.
@@ -207,8 +205,7 @@ class TestDeterminismGate:
                                     backoff_base_ms=0.0),
             chaos=ChaosSpec(seed=5, stall_rate=1.0, stall_s=60.0))
         assert chaotic.ok
-        assert chaotic.combined_fingerprint() == \
-            clean.combined_fingerprint()
+        assert chaotic.fingerprints() == clean
         report = chaotic.supervisor
         assert report is not None
         assert report.timeouts == 2
@@ -255,6 +252,18 @@ class TestCliExitCodes:
                          "--schedulers", "credit", "--seeds", "1",
                          "--batch-deadline", "0.0001", "--jobs", "1",
                          "--cache-dir", str(tmp_path)])
+        assert code == 4
+        assert "timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--workload", "LU", "--scale", "0.05"],
+        ["figure", "fig07", "--scale", "0.05"],
+    ], ids=["run", "figure"])
+    def test_failed_cell_read_exits_4(self, command, capsys):
+        """A command that reads a timed-out cell's value exits with the
+        timeout code, not an AssertionError traceback."""
+        from repro import cli
+        code = cli.main(command + ["--no-cache", "--batch-deadline", "1e-9"])
         assert code == 4
         assert "timeout" in capsys.readouterr().err
 

@@ -15,17 +15,18 @@ from repro import units
 from repro.errors import ConfigurationError
 from repro.experiments.robustness import (FAULT_CLASSES, QUICK_CLASSES,
                                           robustness_report)
-from repro.experiments.runner import run_cells, run_single_vm
+from repro.experiments.runner import run_single_vm
 from repro.experiments.setup import Testbed as SimTestbed
 from repro.experiments.setup import weight_for_rate
 from repro.faults import FaultInjector, FaultSpec, MONITOR_MODES
-from repro.parallel import (WorkloadSpec, result_fingerprint,
+from repro.parallel import (WorkloadSpec, result_fingerprint, run_cells,
                             single_vm_cell)
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.tracing import TraceBus
 from repro.vmm.hypercall import HypercallTable
 from repro.workloads.nas import NasBenchmark
+from tests.conftest import reference_fingerprints
 
 RATE = 2.0 / 9.0
 LU = WorkloadSpec("nas", "LU", scale=0.3)
@@ -167,9 +168,8 @@ class TestEndToEndDeterminism:
             for faults in (None, FaultSpec(hypercall_loss=0.5),
                            FaultSpec(monitor_mode="stuck_low"))
         ]
-        serial = run_cells(cells, jobs=1, cache=None)
         fanned = run_cells(cells, jobs=2, cache=None)
-        assert serial.combined_fingerprint() == fanned.combined_fingerprint()
+        assert fanned.fingerprints() == reference_fingerprints(cells)
 
 
 # --------------------------------------------------------------------- #

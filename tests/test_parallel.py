@@ -12,11 +12,11 @@ from repro.config import SchedulerConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.runner import (SingleVmResult, run_multi_vm,
                                       run_single_vm)
-from repro.parallel import (CellSpec, ResultCache, WorkloadSpec,
-                            canonical_value, execute_cell, get_default_cache,
+from repro.parallel import (CellSpec, ResultCache, RunContext, WorkloadSpec,
+                            canonical_value, current_context, execute_cell,
                             pool_map, resolve_jobs, result_fingerprint,
-                            run_cells, set_default_cache, set_default_jobs,
-                            single_vm_cell, specjbb_cell)
+                            run_cells, single_vm_cell, specjbb_cell,
+                            use_context)
 
 EP = WorkloadSpec("nas", "EP", scale=0.05)
 LU = WorkloadSpec("nas", "LU", scale=0.05)
@@ -159,12 +159,10 @@ class TestJobsResolution:
     def test_explicit_beats_default_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert resolve_jobs() == 3
-        set_default_jobs(2)
-        try:
+        with use_context(RunContext(jobs=2)):
             assert resolve_jobs() == 2
             assert resolve_jobs(5) == 5
-        finally:
-            set_default_jobs(None)
+        assert resolve_jobs() == 3  # the context is gone after the block
 
     def test_auto_and_validation(self):
         assert resolve_jobs("auto") >= 1
@@ -174,7 +172,7 @@ class TestJobsResolution:
         with pytest.raises(ConfigurationError):
             resolve_jobs("many")
         with pytest.raises(ConfigurationError):
-            set_default_jobs("bogus")
+            RunContext(jobs="bogus")  # rejected when built, not when used
 
     def test_pool_map_preserves_order(self):
         items = list(range(10))
@@ -227,14 +225,12 @@ class TestRunCells:
         assert stale.fingerprints() == cold.fingerprints()
 
     def test_default_cache_is_used(self, tmp_path):
-        assert get_default_cache() is None
+        assert current_context().cache is None
         cache = ResultCache(tmp_path)
-        set_default_cache(cache)
-        try:
+        with use_context(RunContext(cache=cache)):
             run_cells([single_vm_cell(EP, online_rate=0.4)])
-            assert cache.stores == 1
-        finally:
-            set_default_cache(None)
+        assert cache.stores == 1
+        assert current_context().cache is None
 
 
 # --------------------------------------------------------------------- #

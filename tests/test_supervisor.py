@@ -13,11 +13,13 @@ import pytest
 from repro.errors import (CacheIntegrityError, CellTimeoutError,
                           ConfigurationError, ExecutionError)
 from repro.parallel import (BatchJournal, CacheIntegrityWarning, CellFailure,
-                            ChaosSpec, ResultCache, SupervisorPolicy,
-                            WorkloadSpec, run_cells, run_supervised,
-                            single_vm_cell)
+                            ChaosSpec, ResultCache, RunContext,
+                            SupervisorPolicy, WorkloadSpec, get_last_report,
+                            run_cells, run_supervised, single_vm_cell,
+                            use_context)
 from repro.parallel.chaos import chaos_draw
 from repro.parallel.supervisor import backoff_ms, batch_key
+from tests.conftest import reference_fingerprints
 
 COMPUTE = WorkloadSpec("synthetic", "compute1", scale=0.2)
 
@@ -133,10 +135,9 @@ class TestBatchJournal:
 class TestSupervisedSerial:
     def test_matches_unsupervised_results(self, tmp_path):
         specs = _cells(2)
-        plain = run_cells(specs, jobs=1, cache=None)
         sup = run_supervised(specs, jobs=1,
                              cache=ResultCache(tmp_path / "c"))
-        assert sup.combined_fingerprint() == plain.combined_fingerprint()
+        assert sup.fingerprints() == reference_fingerprints(specs)
         assert sup.ok and sup.failures() == []
         sup.raise_if_failed()  # no-op on a clean batch
         assert sup.supervisor is not None
@@ -186,6 +187,24 @@ class TestSupervisedSerial:
         assert all(f.kind == "timeout" for f in results.failures())
         with pytest.raises(CellTimeoutError):
             results.raise_if_failed()
+
+    def test_value_of_failed_cell_raises_its_error(self, tmp_path):
+        specs = _cells(2)
+        errored = run_supervised(
+            specs, jobs=1, cache=None,
+            policy=SupervisorPolicy(max_retries=0),
+            chaos=ChaosSpec(poison_keys=('"seed":1',)))
+        with pytest.raises(ExecutionError) as info:
+            errored.value(specs[0])
+        assert not isinstance(info.value, CellTimeoutError)
+        assert errored.value(specs[1]) is errored.outcome(specs[1]).value
+        timed_out = run_supervised(
+            specs, jobs=1, cache=None,
+            policy=SupervisorPolicy(batch_deadline_s=1e-9))
+        with pytest.raises(CellTimeoutError):
+            timed_out.value(specs[0])
+        # The raw failure stays reachable through the outcome.
+        assert isinstance(timed_out.outcome(specs[0]).value, CellFailure)
 
     def test_failure_outcomes_merge_and_fingerprint(self, tmp_path):
         specs = _cells(2)
@@ -250,8 +269,32 @@ class TestResume:
         assert resumed.combined_fingerprint() == full.combined_fingerprint()
 
     def test_resume_without_journal_is_config_error(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="result cache"):
             run_supervised(_cells(1), jobs=1, cache=None, resume=True)
+
+    def test_context_resume_and_per_call_override(self, tmp_path):
+        specs = _cells(2)
+        cache = ResultCache(tmp_path / "c")
+        run_supervised(specs, jobs=1, cache=cache)
+        with use_context(RunContext(cache=cache, resume=True)):
+            assert run_cells(specs).supervisor.resumed == 2
+            # An explicit keyword beats the context: a fresh run resets
+            # the journal, so nothing is counted as resumed.
+            assert run_cells(specs, resume=False).supervisor.resumed == 0
+            assert run_cells(specs).supervisor.resumed == 0
+
+    def test_cli_resume_reaches_the_supervisor(self, tmp_path, capsys):
+        from repro import cli
+        argv = ["run", "--workload", "LU", "--scale", "0.05",
+                "--cache-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        journals = list((tmp_path / "journal").glob("*.jsonl"))
+        assert len(journals) == 1
+        assert cli.main(argv + ["--resume"]) == 0
+        report = get_last_report()
+        assert report is not None and report.resumed == 1
+        assert journals[0].exists()  # a resumed run keeps its journal
+        assert "1 resumed" in capsys.readouterr().err
 
     def test_fresh_run_resets_stale_journal(self, tmp_path):
         specs = _cells(2)
@@ -386,7 +429,8 @@ class TestAtomicWrite:
 _SIGINT_SCRIPT = """\
 import sys, time
 sys.path.insert(0, {src!r})
-from repro.parallel import pool_map
+from repro.parallel import (ChaosSpec, WorkloadSpec, pool_map, run_cells,
+                            single_vm_cell)
 
 def slow(x):
     time.sleep(2.0)
@@ -395,20 +439,32 @@ def slow(x):
 if __name__ == "__main__":
     print("READY", flush=True)
     try:
-        pool_map(slow, list(range(64)), jobs=2)
+        {call}
     except KeyboardInterrupt:
         print("INTERRUPTED", flush=True)
         sys.exit(130)
     print("FINISHED", flush=True)
 """
 
+#: Both pool loops, each with 64 items of ~2 s queued on 2 workers.  The
+#: cells stall 2 s in a chaos-injected first attempt, then finish fast.
+_SIGINT_CALLS = {
+    "pool_map": "pool_map(slow, list(range(64)), jobs=2)",
+    "run_cells": (
+        "run_cells([single_vm_cell(WorkloadSpec('synthetic', 'compute1', "
+        "scale=0.05), seed=s) for s in range(64)], jobs=2, "
+        "chaos=ChaosSpec(stall_rate=1.0, stall_s=2.0))"),
+}
+
 
 class TestKeyboardInterrupt:
-    def test_sigint_cancels_queue_and_reraises(self, tmp_path):
+    @pytest.mark.parametrize("loop", sorted(_SIGINT_CALLS))
+    def test_sigint_cancels_queue_and_reraises(self, tmp_path, loop):
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         script = tmp_path / "ki_victim.py"
-        script.write_text(_SIGINT_SCRIPT.format(src=src))
+        script.write_text(_SIGINT_SCRIPT.format(src=src,
+                                                call=_SIGINT_CALLS[loop]))
         proc = subprocess.Popen(
             [sys.executable, str(script)], stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL, text=True,
@@ -426,7 +482,6 @@ class TestKeyboardInterrupt:
                 proc.kill()
         assert "INTERRUPTED" in out
         assert proc.returncode == 130
-        # 64 cells x 2s on 2 workers is ~64s of queued work; a prompt
-        # exit proves cancel_futures dropped the queue instead of
-        # draining it.
+        # 64 items x 2s on 2 workers is ~64s of queued work; a prompt
+        # exit proves the loop dropped its queue instead of draining it.
         assert elapsed < 30.0
