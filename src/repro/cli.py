@@ -53,6 +53,7 @@ use; it adds no behaviour, only ergonomics.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
                     Sequence)
@@ -838,8 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
              "'hypercall_loss=0.5,monitor_mode=stuck_low' "
              "(see docs/robustness.md)")
 
-    sub.add_parser("list", help="list figures/workloads/schedulers") \
-        .set_defaults(func=cmd_list)
+    sub.add_parser("list", help="list figures/workloads/schedulers")
 
     fp = sub.add_parser("figure", help="rerun one paper figure",
                         parents=[sim_common, fabric_common])
@@ -851,7 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also render an ASCII plot")
     fp.add_argument("--json", metavar="PATH", help="export JSON")
     fp.add_argument("--csv", metavar="PATH", help="export CSV")
-    fp.set_defaults(func=cmd_figure)
 
     rp = sub.add_parser("run", help="one single-VM scenario",
                         parents=[sim_common, fabric_common, faults_common])
@@ -864,7 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--plot", action="store_true")
     rp.add_argument("--verbose", action="store_true",
                     help="guest introspection + co-online fraction")
-    rp.set_defaults(func=cmd_run)
 
     sp = sub.add_parser("sweep", help="online-rate sweep across schedulers",
                         parents=[sim_common, fabric_common, faults_common])
@@ -872,7 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--schedulers", default="credit,asman")
     sp.add_argument("--scale", type=float, default=0.4)
     sp.add_argument("--seed", type=int, default=1)
-    sp.set_defaults(func=cmd_sweep)
 
     jp = sub.add_parser("specjbb", help="SPECjbb warehouse sweep",
                         parents=[sim_common, fabric_common, faults_common])
@@ -881,7 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
     jp.add_argument("--window-ms", type=float, default=1000.0)
     jp.add_argument("--schedulers", default="credit,asman")
     jp.add_argument("--seed", type=int, default=1)
-    jp.set_defaults(func=cmd_specjbb)
 
     bp = sub.add_parser("robustness",
                         help="fault-injection degradation matrix",
@@ -902,7 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the two-VM fairness cells (faster)")
     bp.add_argument("--list-classes", action="store_true",
                     help="list fault classes and exit")
-    bp.set_defaults(func=cmd_robustness)
 
     pp = sub.add_parser("perf", help="performance regression harness",
                         parents=[sim_common, fabric_common])
@@ -927,7 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "committed benchmarks/perf_baseline.json)")
     pp.add_argument("--list", action="store_true",
                     help="list benchmark names and exit")
-    pp.set_defaults(func=cmd_perf)
 
     cp = sub.add_parser("conform",
                         help="differential conformance suite "
@@ -960,7 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "regenerate) the checked-in trace fixtures")
     cp.add_argument("--golden-dir", metavar="DIR", default=None,
                     help="fixture directory (default tests/fixtures/golden)")
-    cp.set_defaults(func=cmd_conform)
 
     xp = sub.add_parser(
         "chaos",
@@ -972,7 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
     xp.add_argument("--schedulers", default="credit,asman")
     xp.add_argument("--scale", type=float, default=0.15)
     xp.add_argument("--seeds", type=int, nargs="*", default=(1,))
-    xp.set_defaults(func=cmd_chaos)
 
     lp = sub.add_parser("lint", help="simlint static checker")
     lp.add_argument("paths", nargs="*",
@@ -1010,7 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(keeps the waiver pile shrinking)")
     lp.add_argument("--output", metavar="PATH",
                     help="write the report to PATH instead of stdout")
-    lp.set_defaults(func=cmd_lint)
     return p
 
 
@@ -1062,17 +1053,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, once per process: parsing never mutates the
+    parser, and in-process callers (tests, tools embedding the CLI) run
+    many commands."""
+    return build_parser()
+
+
 def _main(argv: Optional[Sequence[str]]) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Resolved by name on every call: the shared parser holds no handler,
+    # so a handler replaced after the parser was built still runs.
+    handler = globals()[f"cmd_{args.command}"]
     if getattr(args, "sanitize", False):
         from repro import analysis
         analysis.set_sanitize(True)
     ctx = _run_context(args)
     if ctx is None:
-        return int(args.func(args))
+        return int(handler(args))
     from repro import parallel
     with parallel.use_context(ctx):
-        status = args.func(args)
+        status = handler(args)
     # Stderr, so piping stdout (series, tables, JSON) stays byte-stable
     # whether the run was cold or warm.
     cache = ctx.cache

@@ -47,7 +47,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.runner import SingleVmResult
 from repro.faults.spec import FaultSpec
 from repro.parallel import run_cells
-from repro.parallel.cells import CellSpec, result_fingerprint
+from repro.parallel.cells import CellSpec
 
 __all__ = ["ConformanceReport", "conform"]
 
@@ -140,14 +140,17 @@ def conform(scenarios: int = 200,
                     "per-index stream isolation is broken")]))
             return report
 
-    # One batch: every scheduler cell plus the metamorphic twins.
+    # One batch: every scheduler cell plus the metamorphic twins.  Each
+    # cell is built once; the same objects are submitted and looked up,
+    # so each canonical key is computed once.
     specs: List[CellSpec] = []
+    cells: Dict[int, Dict[str, CellSpec]] = {}
     twins: Dict[int, Dict[str, CellSpec]] = {}
     for sc in corpus:
-        for sched in schedulers:
-            specs.append(sc.cell(sched))
+        cells[sc.index] = {sched: sc.cell(sched) for sched in schedulers}
+        specs.extend(cells[sc.index].values())
         if metamorphic_every and sc.index % metamorphic_every == 0:
-            twins[sc.index] = _twin_cells(sc)
+            twins[sc.index] = _twin_cells(sc, cells[sc.index].get("credit"))
             specs.extend(twins[sc.index].values())
 
     results = run_cells(specs, jobs=jobs, cache=cache, progress=progress)
@@ -159,24 +162,29 @@ def conform(scenarios: int = 200,
     report.cache_hits = results.cache_hits
 
     for sc in corpus:
-        by_sched = {sched: results.value(sc.cell(sched))
-                    for sched in schedulers}
         verdict = ScenarioVerdict(scenario=sc)
-        for sched, res in by_sched.items():
-            verdict.fingerprints[sched] = \
-                f"{result_fingerprint(res):016x}"
+        by_sched: Dict[str, object] = {}
+        for sched, spec in cells[sc.index].items():
+            outcome = results.outcome(spec)
+            by_sched[sched] = outcome.value
+            verdict.fingerprints[sched] = f"{outcome.fingerprint:016x}"
         verdict.violations.extend(judge(sc, by_sched, roles=roles))
-        verdict.violations.extend(
-            _judge_twins(sc, twins.get(sc.index), results, schedulers))
+        if sc.index in twins:
+            verdict.violations.extend(
+                _judge_twins(sc, twins[sc.index], results,
+                             cells[sc.index].get("credit")))
         report.verdicts.append(verdict)
     return report
 
 
 # --------------------------------------------------------------------- #
-def _twin_cells(sc: Scenario) -> Dict[str, CellSpec]:
-    """The metamorphic twin cells for one scenario (credit runs only)."""
+def _twin_cells(sc: Scenario, base: Optional[CellSpec] = None
+                ) -> Dict[str, CellSpec]:
+    """The metamorphic twin cells for one scenario (credit runs only),
+    derived from its credit cell ``base`` (built here when omitted)."""
     cells: Dict[str, CellSpec] = {}
-    base = sc.cell("credit")
+    if base is None:
+        base = sc.cell("credit")
     if sc.fault_free:
         # Armed-but-no-op fault spec: must be bit-identical to bare.
         cells["noop-faults"] = dataclasses.replace(
@@ -191,21 +199,22 @@ def _twin_cells(sc: Scenario) -> Dict[str, CellSpec]:
     return cells
 
 
-def _judge_twins(sc: Scenario, twins: Optional[Dict[str, CellSpec]],
+def _judge_twins(sc: Scenario, twins: Dict[str, CellSpec],
                  results: "CellResults",
-                 schedulers: Sequence[str]) -> List[Violation]:
+                 base: Optional[CellSpec]) -> List[Violation]:
+    """Check the metamorphic relations of one scenario against its
+    credit cell ``base`` (``None`` when credit is not under test)."""
     out: List[Violation] = []
-    if not twins or "credit" not in schedulers:
+    if not twins or base is None:
         return out
-    base_res = results.value(sc.cell("credit"))
+    base_res = results.value(base)
     noop = twins.get("noop-faults")
-    if noop is not None:
-        noop_res = results.value(noop)
-        if result_fingerprint(noop_res) != result_fingerprint(base_res):
-            out.append(Violation(
-                sc.index, "metamorphic-noop-faults", "credit",
-                "a no-op FaultSpec changed the result fingerprint — "
-                "fault hooks are not invisible when disarmed"))
+    if noop is not None and (results.outcome(noop).fingerprint
+                             != results.outcome(base).fingerprint):
+        out.append(Violation(
+            sc.index, "metamorphic-noop-faults", "credit",
+            "a no-op FaultSpec changed the result fingerprint — "
+            "fault hooks are not invisible when disarmed"))
     degraded = twins.get("degraded")
     if degraded is not None and isinstance(base_res, SingleVmResult):
         deg_res = results.value(degraded)

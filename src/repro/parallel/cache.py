@@ -43,7 +43,7 @@ import pickle
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import __version__
 from repro.errors import CacheIntegrityError
@@ -209,22 +209,37 @@ class ResultCache:
             raise
 
     # -- maintenance ---------------------------------------------------- #
+    def _scan(self) -> Iterator[Tuple[os.DirEntry, bool]]:
+        """Every file in the directories directly under the root (the
+        fan-out directories, ``quarantine/``, ``journal/``), each with
+        whether it sits in quarantine — one :func:`os.scandir` pass
+        shared by :meth:`stats`, :meth:`verify` and :meth:`clear`."""
+        try:
+            tops = list(os.scandir(self.root))
+        except OSError:
+            return  # no store yet
+        for top in tops:
+            if not top.is_dir():
+                continue
+            quarantined = top.name == QUARANTINE_DIR
+            with contextlib.suppress(OSError), os.scandir(top.path) as it:
+                for entry in it:
+                    yield entry, quarantined
+
     def clear(self) -> int:
         """Delete every entry (quarantined ones included) and sweep any
         stale ``*.tmp`` files left by writers that died mid-write;
         returns the number of entries removed."""
         removed = 0
-        if not self.root.is_dir():
-            return removed
-        for entry in sorted(self.root.rglob("*.pkl")):
-            entry.unlink()
-            sidecar = entry.with_suffix(".json")
-            if sidecar.exists():
-                sidecar.unlink()
-            removed += 1
-        for stale in sorted(self.root.rglob("*.tmp")):
-            with contextlib.suppress(OSError):
-                stale.unlink()
+        for entry, _quarantined in list(self._scan()):
+            if entry.name.endswith(".pkl"):
+                os.unlink(entry.path)
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(entry.path[:-len(".pkl")] + ".json")
+                removed += 1
+            elif entry.name.endswith(".tmp"):
+                with contextlib.suppress(OSError):
+                    os.unlink(entry.path)
         return removed
 
     def verify(self, strict: bool = False) -> Dict[str, object]:
@@ -236,41 +251,39 @@ class ResultCache:
         :class:`~repro.errors.CacheIntegrityError` instead (the CI
         gate's form).
         """
-        checked = 0
+        entries = sorted((entry for entry, quarantined in self._scan()
+                          if not quarantined
+                          and entry.name.endswith(".pkl")),
+                         key=lambda entry: entry.name)
         corrupt: List[str] = []
-        qroot = self._quarantine_root()
-        if self.root.is_dir():
-            for entry in sorted(self.root.rglob("*.pkl")):
-                if qroot in entry.parents:
-                    continue  # already impounded
-                checked += 1
-                key = entry.stem
-                try:
-                    payload = entry.read_bytes()
-                except OSError:
-                    corrupt.append(key)
-                    continue
-                if not self._checksum_ok(key, payload):
-                    corrupt.append(key)
+        for entry in entries:
+            key = entry.name[:-len(".pkl")]
+            try:
+                payload = Path(entry.path).read_bytes()
+            except OSError:
+                corrupt.append(key)
+                continue
+            if not self._checksum_ok(key, payload):
+                corrupt.append(key)
         if strict and corrupt:
             raise CacheIntegrityError(
                 f"{len(corrupt)} corrupt cache entr"
                 f"{'y' if len(corrupt) == 1 else 'ies'} under {self.root}: "
                 + ", ".join(k[:16] + "…" for k in corrupt[:5])
                 + ("" if len(corrupt) <= 5 else ", …"))
-        return {"checked": checked, "corrupt": corrupt}
+        return {"checked": len(entries), "corrupt": corrupt}
 
     def stats(self) -> Dict[str, object]:
         """On-disk + in-process statistics (the CI artifact payload)."""
         entries = 0
         size = 0
         quarantine_entries = 0
-        qroot = self._quarantine_root()
-        if self.root.is_dir():
-            for entry in self.root.rglob("*.pkl"):
-                if qroot in entry.parents:
-                    quarantine_entries += 1
-                    continue
+        for entry, quarantined in self._scan():
+            if not entry.name.endswith(".pkl"):
+                continue
+            if quarantined:
+                quarantine_entries += 1
+            else:
                 entries += 1
                 size += entry.stat().st_size
         return {

@@ -23,6 +23,7 @@ tooling (see ``TOOLING_PACKAGES`` in :mod:`repro.analysis.simlint`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -169,7 +170,15 @@ class CellSpec:
         strings are equal.  The resolved :class:`SchedulerConfig` is
         embedded in full, so changing any timing parameter re-keys every
         affected cell.
+
+        Computed once per instance: every field is a frozen dataclass, a
+        tuple or a scalar, so the memo can never go stale, and
+        :func:`dataclasses.replace` builds a new instance without it.
         """
+        return self._canonical
+
+    @functools.cached_property
+    def _canonical(self) -> str:
         doc = canonical_value(self)
         assert isinstance(doc, dict)
         doc["sched_config"] = canonical_value(self.resolved_sched_config())
@@ -196,6 +205,25 @@ class CellSpec:
 # --------------------------------------------------------------------- #
 # Canonicalisation and fingerprints
 # --------------------------------------------------------------------- #
+#: Types :func:`canonical_value` returns as they are (exact-type match;
+#: subclasses such as ``IntEnum`` take the generic path below).
+_PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
+
+#: class -> its dataclass field names in declaration order, or ``None``
+#: for a class that is not a dataclass.
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    try:
+        return _FIELD_NAMES[cls]
+    except KeyError:
+        names = (tuple(f.name for f in dataclasses.fields(cls))
+                 if dataclasses.is_dataclass(cls) else None)
+        _FIELD_NAMES[cls] = names
+        return names
+
+
 def canonical_value(obj: object) -> object:
     """Recursively convert a value into JSON-stable plain data.
 
@@ -204,16 +232,20 @@ def canonical_value(obj: object) -> object:
     Floats serialise through ``repr`` via :mod:`json`, which round-trips
     exactly — canonical strings are bit-stable across runs and hosts.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        doc: Dict[str, object] = {"__kind__": type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            doc[f.name] = canonical_value(getattr(obj, f.name))
+    cls = type(obj)
+    if cls in _PLAIN_TYPES:
+        return obj
+    names = _field_names(cls)
+    if names is not None:
+        doc: Dict[str, object] = {"__kind__": cls.__name__}
+        for name in names:
+            doc[name] = canonical_value(getattr(obj, name))
         return doc
     if isinstance(obj, dict):
         return {str(k): canonical_value(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical_value(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if isinstance(obj, (bool, int, float, str)):
         return obj
     raise ConfigurationError(
         f"cannot canonicalise {type(obj).__name__!r} value {obj!r}")

@@ -307,8 +307,8 @@ class _Supervisor:
             self.progress(message)
 
     def _succeed(self, key: str, value: object) -> None:
-        if self.cache is not None:
-            self.cache.put(self.unique[key], value)
+        cache_key = (self.cache.put(self.unique[key], value)
+                     if self.cache is not None else None)
         fingerprint = result_fingerprint(value)
         self.outcomes[key] = CellOutcome(key=key, value=value,
                                          fingerprint=fingerprint,
@@ -319,7 +319,7 @@ class _Supervisor:
                 "key": key, "status": "done", "fingerprint": fingerprint,
                 "attempts": self.attempts.get(key, 0) + 1}
             if self.cache is not None:
-                record["cache_key"] = self.cache.key_for(self.unique[key])
+                record["cache_key"] = cache_key
                 record["salt"] = self.cache.salt
             self.journal.append(record)
 

@@ -1,8 +1,11 @@
 """The parallel experiment fabric: specs, cache, executor, determinism."""
 
+import collections
+import dataclasses
 import json
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +15,13 @@ from repro.config import SchedulerConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.runner import (SingleVmResult, run_multi_vm,
                                       run_single_vm)
-from repro.parallel import (CellSpec, ResultCache, RunContext, WorkloadSpec,
-                            canonical_value, current_context, execute_cell,
-                            pool_map, resolve_jobs, result_fingerprint,
-                            run_cells, single_vm_cell, specjbb_cell,
-                            use_context)
+from repro.faults import FaultSpec
+from repro.parallel import (CellFailure, CellSpec, ResultCache, RunContext,
+                            WorkloadSpec, canonical_value, current_context,
+                            execute_cell, multi_vm_cell, pool_map,
+                            resolve_jobs, result_fingerprint, run_cells,
+                            single_vm_cell, specjbb_cell, use_context)
+from repro.parallel import cells as cells_mod
 
 EP = WorkloadSpec("nas", "EP", scale=0.05)
 LU = WorkloadSpec("nas", "LU", scale=0.05)
@@ -97,6 +102,119 @@ class TestCellSpec:
                            scheduler=scheduler, online_rate=rate, seed=seed)
         assert a.cache_key("s") == b.cache_key("s")
         assert a.canonical() == b.canonical()
+
+
+def _reference_canonical_value(obj):
+    """The generic canonicalisation :func:`canonical_value` replaced
+    (``is_dataclass`` + ``fields()`` per object); its output is the
+    byte-for-byte contract every cache key and fingerprint rests on."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        doc = {"__kind__": type(obj).__name__}
+        for f in dataclasses.fields(obj):
+            doc[f.name] = _reference_canonical_value(getattr(obj, f.name))
+        return doc
+    if isinstance(obj, dict):
+        return {str(k): _reference_canonical_value(v)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_canonical_value(v) for v in obj]
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise ConfigurationError(f"cannot canonicalise {obj!r}")
+
+
+def _rich_specs():
+    """One spec of each kind, with faults, an explicit SchedulerConfig
+    and trace capture where the kind allows them."""
+    lu = WorkloadSpec("nas", "LU", scale=0.05, rounds=3)
+    ep = WorkloadSpec("nas", "EP", scale=0.05, rounds=3)
+    return [
+        single_vm_cell(lu, scheduler="asman", online_rate=0.4,
+                       collect_scatter=True, collect_timeline=True,
+                       collect_trace=("sched.switch", "vcrd.change"),
+                       deadline_cycles=units.ms(20), on_deadline="return",
+                       faults=FaultSpec(seed=3, hypercall_loss=0.1)),
+        multi_vm_cell([("V1", lu, True), ("V2", ep, False)],
+                      scheduler="asman", deadline_cycles=units.ms(20),
+                      on_deadline="return", collect_trace=("sched.switch",),
+                      sched_config=SchedulerConfig(work_conserving=True)),
+        specjbb_cell(2, scheduler="asman", window_cycles=units.ms(10),
+                     warmup_cycles=units.ms(2),
+                     faults=FaultSpec(seed=1, degraded_pcpus=(0,),
+                                      degraded_speed=0.5)),
+    ]
+
+
+class TestCanonicalMemo:
+    def test_warm_batch_canonicalises_each_spec_once(self, tmp_path,
+                                                     monkeypatch):
+        rates = (1.0, 2 / 3, 0.4)
+        cache = ResultCache(tmp_path)
+        run_cells([single_vm_cell(EP, online_rate=r) for r in rates],
+                  cache=cache)
+        specs = [single_vm_cell(EP, online_rate=r) for r in rates]
+        calls = []
+        original = cells_mod.canonical_value
+
+        def counting(obj):
+            if isinstance(obj, CellSpec):
+                calls.append(obj)
+            return original(obj)
+
+        monkeypatch.setattr(cells_mod, "canonical_value", counting)
+        results = run_cells(specs + specs[:1], jobs=1, cache=cache)
+        assert results.cache_hits == len(specs)
+        for spec in specs:
+            assert isinstance(results.value(spec), SingleVmResult)
+        per_spec = collections.Counter(id(spec) for spec in calls)
+        assert sorted(per_spec) == sorted(id(spec) for spec in specs)
+        assert set(per_spec.values()) == {1}
+
+    def test_replace_yields_the_new_specs_canonical(self):
+        spec = single_vm_cell(EP, online_rate=0.4, seed=1)
+        before = spec.canonical()
+        moved = dataclasses.replace(spec, seed=2)
+        assert moved.canonical() == single_vm_cell(
+            EP, online_rate=0.4, seed=2).canonical()
+        assert moved.canonical() != before
+        assert spec.canonical() == before
+
+    def test_memo_survives_pickle(self):
+        for spec in _rich_specs():
+            text = spec.canonical()
+            clone = pickle.loads(pickle.dumps(spec))
+            assert clone.canonical() == text
+            assert clone == spec
+            assert hash(clone) == hash(spec)
+
+
+class TestCanonicalValueReference:
+    @staticmethod
+    def _same(value):
+        got = json.dumps(canonical_value(value), sort_keys=True)
+        want = json.dumps(_reference_canonical_value(value), sort_keys=True)
+        assert got == want
+
+    def test_specs_of_every_kind(self):
+        for spec in _rich_specs():
+            self._same(spec)
+            self._same(spec.resolved_sched_config())
+
+    def test_executed_results_of_every_kind(self):
+        for spec in _rich_specs():
+            self._same(execute_cell(spec))
+
+    def test_cell_failure(self):
+        self._same(CellFailure(key="k", kind="timeout", attempts=2,
+                               detail="batch deadline exhausted"))
+
+    @pytest.mark.parametrize("value", [{1, 2}, np.int64(3),
+                                       np.float32(0.5)])
+    def test_unsupported_values_still_raise(self, value):
+        with pytest.raises(ConfigurationError):
+            canonical_value(value)
+        with pytest.raises(ConfigurationError):
+            canonical_value({"nested": [value]})
 
 
 # --------------------------------------------------------------------- #

@@ -335,6 +335,30 @@ class TestCacheIntegrity:
         assert stats["entries"] == 0  # impounded entries don't count
         assert "quarantined" in cache.describe()
 
+        # Beside the quarantined entry: a healthy entry, one corrupted
+        # in place (not yet read), a stale temp file from a writer that
+        # died mid-write, and a batch journal.
+        healthy, rotten = _cells(3)[1:]
+        paths = [cache._entry_path(cache.put(s, {"v": s.seed}))
+                 for s in (healthy, rotten)]
+        paths[1].write_bytes(b"\xff" + paths[1].read_bytes()[1:])
+        stale = paths[0].parent / (paths[0].name + ".dead.tmp")
+        stale.write_bytes(b"torn")
+        journal = cache.root / "journal" / "batch.jsonl"
+        journal.parent.mkdir()
+        journal.write_text("{}\n")
+        stats = cache.stats()
+        assert stats["entries"] == 2
+        assert stats["bytes"] == sum(p.stat().st_size for p in paths)
+        assert stats["quarantine_entries"] == 1
+        assert cache.verify() == {"checked": 2,
+                                  "corrupt": [cache.key_for(rotten)]}
+        assert cache.clear() == 3  # quarantined entries included
+        assert not stale.exists()
+        assert not list(cache.root.rglob("*.pkl"))
+        assert journal.exists()  # clear() removes entries, not journals
+        assert cache.stats()["entries"] == 0
+
     def test_missing_sidecar_is_corruption(self, tmp_path):
         cache = ResultCache(tmp_path / "c", salt="s")
         spec = _cells(1)[0]
