@@ -5,7 +5,8 @@ Exit codes (also in ``repro --help``): 0 success; 1 run failure
 :class:`~repro.errors.ExecutionError` (supervised cells failed); 4
 :class:`~repro.errors.CellTimeoutError` (wall-clock budgets exceeded);
 5 :class:`~repro.errors.CacheIntegrityError` (cache checksum
-verification failed).  The mapping lives in :func:`repro.cli.main`.
+verification failed); 141 stdout closed early.  The mapping lives in
+:func:`repro.cli.main`.
 """
 
 from repro.cli import main

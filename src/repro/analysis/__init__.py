@@ -1,17 +1,17 @@
 """Static and dynamic analysis tooling for the reproduction.
 
-Two layers, both guarding the same contract (bit-identical determinism
+Two planes, both guarding the same contract (bit-identical determinism
 and faithful scheduler mechanics):
 
-* :mod:`repro.analysis.simlint` — per-file AST checker with
-  sim-specific rules (``python -m repro lint``).
-* :mod:`repro.analysis.engine` / :mod:`repro.analysis.callgraph` /
-  :mod:`repro.analysis.taint` / :mod:`repro.analysis.rules_interproc` —
-  the whole-program layer behind ``python -m repro lint
-  --interprocedural``: module indexing, project call graph, forward
-  dataflow/taint, RNG-provenance + cycle-unit + transitive wall-clock
-  rules, SARIF output (:mod:`repro.analysis.sarif`) and the
-  ``analysis-baseline.json`` suppression workflow.
+* ``python -m repro lint`` — one static checker over one package root:
+  :mod:`repro.analysis.simlint`'s per-file AST rules, then the
+  whole-program layer (:mod:`repro.analysis.engine` module indexing,
+  :mod:`repro.analysis.callgraph`, :mod:`repro.analysis.taint` forward
+  dataflow and the :mod:`repro.analysis.rules_interproc` RNG-provenance
+  / cycle-unit / transitive wall-clock rules), SARIF output
+  (:mod:`repro.analysis.sarif`) and the ``analysis-baseline.json``
+  suppression workflow.  Import those modules directly; this package
+  does not load them, so simulation processes never pay for the linter.
 * :mod:`repro.analysis.sanitizer` — opt-in runtime invariant checker
   for the VMM scheduler (``--sanitize`` / ``REPRO_SANITIZE=1``), in the
   spirit of ThreadSanitizer: heavy checks after every scheduling
@@ -27,37 +27,11 @@ from typing import Optional
 
 from repro.analysis.sanitizer import (RUNTIME_CHECKS, SanitizerViolation,
                                       SchedulerSanitizer)
-from repro.analysis.simlint import (
-    LintReport,
-    RULES,
-    SIM_PACKAGES,
-    TOOLING_PACKAGES,
-    Violation,
-    lint_file,
-    lint_paths,
-    lint_source,
-    lint_tree,
-    parse_pragmas,
-    render_json,
-    render_text,
-)
 
 __all__ = [
-    "LintReport",
-    "RULES",
     "RUNTIME_CHECKS",
-    "SIM_PACKAGES",
     "SanitizerViolation",
     "SchedulerSanitizer",
-    "TOOLING_PACKAGES",
-    "Violation",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "lint_tree",
-    "parse_pragmas",
-    "render_json",
-    "render_text",
     "sanitize_enabled",
     "set_sanitize",
 ]

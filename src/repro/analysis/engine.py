@@ -24,8 +24,10 @@ the missing substrate:
   only shrink.
 
 The interprocedural rule families themselves live in
-:mod:`repro.analysis.rules_interproc`; :func:`analyze` is the one-call
-driver the CLI uses (``python -m repro lint --interprocedural``).
+:mod:`repro.analysis.rules_interproc`.  :func:`analyze` is the one lint
+entry point: ``python -m repro lint [ROOT]`` runs it over a package
+root, or over one file's enclosing package with reporting confined to
+that file (:func:`package_root`).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "analyze",
     "fingerprint_violation",
     "load_baseline",
+    "package_root",
     "partition_against_baseline",
     "stable_rel_path",
     "write_baseline",
@@ -546,6 +549,17 @@ def partition_against_baseline(
 # --------------------------------------------------------------------- #
 # The driver
 # --------------------------------------------------------------------- #
+def package_root(path: Union[str, Path]) -> Path:
+    """The package a source file belongs to: the topmost ancestor
+    reachable through an unbroken chain of ``__init__.py`` directories,
+    or the file's own directory when that holds no ``__init__.py``."""
+    root = Path(path).resolve().parent
+    while (root / "__init__.py").is_file() \
+            and (root.parent / "__init__.py").is_file():
+        root = root.parent
+    return root
+
+
 def analyze(root: Union[str, Path],
             rules: Optional[Iterable[str]] = None,
             baseline: Optional[Dict[str, object]] = None,
@@ -557,73 +571,71 @@ def analyze(root: Union[str, Path],
     Per-file simlint rules run on every indexed module (reusing the
     engine's parse), then the interprocedural rule families from
     :mod:`repro.analysis.rules_interproc` run over the project call
-    graph.  ``changed_files`` restricts *reporting* to those files
-    (``--diff`` mode) while the index and call graph still span the
-    whole project — an interprocedural leak introduced by editing a
-    helper is attributed to the changed file that contains it.
+    graph; inline pragmas waive findings of both families alike.
+    ``changed_files`` restricts *reporting* to those files (``--diff``
+    mode) while the index and call graph still span the whole project —
+    an interprocedural leak introduced by editing a helper is attributed
+    to the changed file that contains it.  A ``.py`` file as ``root``
+    means its :func:`package_root` with that file added to
+    ``changed_files``, so its modules keep their dotted names and
+    cross-file facts.
 
     Returns ``(report, project, sources)`` where ``sources`` maps each
     violation path to its source lines (for fingerprinting/SARIF).
     """
-    from repro.analysis.rules_interproc import (INTERPROC_RULES,
+    from repro.analysis.rules_interproc import (ALL_RULES,
                                                 run_interproc_rules)
 
+    root = Path(root)
+    if root.is_file():
+        if root.suffix != ".py":
+            raise ValueError(f"{root} is not a Python source file")
+        changed_files = [root, *(changed_files or ())]
+        root = package_root(root)
     project = Project.load(root)
-    active = set(rules) if rules is not None else \
-        set(simlint.RULES) | set(INTERPROC_RULES)
-    unknown = active - set(simlint.RULES) - set(INTERPROC_RULES)
+    active = set(rules) if rules is not None else set(ALL_RULES)
+    unknown = active - set(ALL_RULES)
     if unknown:
         raise ValueError(f"unknown simlint rule(s): {sorted(unknown)}")
     perfile_rules = active & set(simlint.RULES)
-    interproc_rules = active & set(INTERPROC_RULES)
+    interproc_rules = active - perfile_rules
 
-    changed: Optional[Set[str]] = None
+    modules = sorted(project.modules.values(), key=lambda m: str(m.path))
+    sources = {str(m.path): m.source.splitlines() for m in modules}
+    reported = set(sources)
     if changed_files is not None:
         changed = {str(Path(p).resolve()) for p in changed_files}
+        reported = {str(m.path) for m in modules
+                    if str(m.path.resolve()) in changed}
+
+    found: Dict[str, List[Violation]] = {path: [] for path in reported}
+    if perfile_rules:
+        for mod in modules:
+            path_key = str(mod.path)
+            if path_key in reported:
+                sim_scope, hot = simlint._scope_of(mod.path, assume_sim)
+                found[path_key] = simlint.check_tree(
+                    mod.tree, path=path_key, sim_scope=sim_scope,
+                    hot_module=hot, rules=perfile_rules)
+    if interproc_rules:
+        for v in run_interproc_rules(project, rules=interproc_rules,
+                                     assume_sim=assume_sim):
+            if v.path in reported:
+                found[v.path].append(v)
 
     violations: List[Violation] = []
-    pragmas = 0
     waivers: Dict[str, int] = {}
-    sources: Dict[str, List[str]] = {}
-    pragma_tables: Dict[str, Dict[int, Optional[Set[str]]]] = {}
-
-    for mod in sorted(project.modules.values(), key=lambda m: str(m.path)):
-        path_key = str(mod.path)
-        sources[path_key] = mod.source.splitlines()
-        pragma_tables[path_key] = simlint.parse_pragmas(mod.source)
-        in_diff = changed is None or str(mod.path.resolve()) in changed
-        if perfile_rules and in_diff:
-            sim_scope, hot = simlint._scope_of(mod.path, assume_sim)
-            found, used, per_rule = simlint.lint_tree(
-                mod.tree, mod.source, path=path_key, sim_scope=sim_scope,
-                hot_module=hot, rules=perfile_rules)
-            violations.extend(found)
-            pragmas += used
-            for rule, n in per_rule.items():
-                waivers[rule] = waivers.get(rule, 0) + n
-
-    if interproc_rules:
-        interproc_found = run_interproc_rules(
-            project, rules=interproc_rules, assume_sim=assume_sim)
-        for v in interproc_found:
-            if changed is not None \
-                    and str(Path(v.path).resolve()) not in changed:
-                continue
-            table = pragma_tables.get(v.path, {})
-            waived = table.get(v.line, "absent")
-            if waived != "absent" and (waived is None
-                                       or v.rule in waived):  # type: ignore[operator]
-                pragmas += 1
-                waivers[v.rule] = waivers.get(v.rule, 0) + 1
-                continue
-            violations.append(v)
-
+    for mod in modules:
+        in_file = found.get(str(mod.path))
+        if in_file:
+            violations.extend(
+                simlint.apply_pragmas(in_file, mod.source, waivers))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     new, grandfathered, stale = partition_against_baseline(
         violations, sources, baseline)
     report = AnalysisReport(
         violations=violations, files_checked=len(project.modules),
-        pragmas_used=pragmas,
+        pragmas_used=sum(waivers.values()),
         waivers_by_rule=dict(sorted(waivers.items())),
         new=new, grandfathered=grandfathered, stale_baseline=stale,
         interprocedural=bool(interproc_rules))

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.analysis import simlint
-from repro.analysis.rules_interproc import INTERPROC_RULES
+from repro.analysis.rules_interproc import ALL_RULES
 from repro.analysis.sanitizer import RUNTIME_CHECKS
 
 __all__ = ["INVARIANT_PARITY", "Invariant", "verify_parity"]
@@ -155,7 +154,7 @@ def verify_parity() -> List[str]:
     and invariants enforcing nothing on either plane.
     """
     problems: List[str] = []
-    static_known = set(simlint.RULES) | set(INTERPROC_RULES)
+    static_known = set(ALL_RULES)
     runtime_known = set(RUNTIME_CHECKS)
     static_claimed: Dict[str, str] = {}
     runtime_claimed: Dict[str, str] = {}

@@ -1,6 +1,7 @@
-"""Interprocedural rule families for ``repro lint --interprocedural``.
+"""Interprocedural rule families behind ``repro lint``.
 
-Three whole-program determinism rules run over the
+Three whole-program determinism rules run, after the per-file rules of
+:mod:`repro.analysis.simlint`, over the
 :mod:`repro.analysis.engine` project index, the
 :mod:`repro.analysis.callgraph` call graph and the
 :mod:`repro.analysis.taint` summaries:
@@ -47,6 +48,7 @@ from repro.analysis.taint import (FunctionEvaluator, TaintContext,
                                   compute_summaries, evaluate_function)
 
 __all__ = [
+    "ALL_RULES",
     "INTERPROC_RULES",
     "STREAM_ROUTES",
     "run_interproc_rules",
@@ -61,6 +63,9 @@ INTERPROC_RULES: Dict[str, str] = {
     "transitive-wall-clock": "sim-scope code must not reach wall-clock/"
                              "entropy/env APIs through any call chain",
 }
+
+#: Every rule ``repro lint`` knows: the per-file rules, then these.
+ALL_RULES: Dict[str, str] = {**simlint.RULES, **INTERPROC_RULES}
 
 #: Stream-name prefix -> module prefixes allowed to draw from it.  The
 #: experiments package is the wiring layer and may touch any stream it

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.analysis import simlint
 from repro.analysis.engine import AnalysisReport, Project, _fingerprints
+from repro.analysis.rules_interproc import ALL_RULES
 from repro.analysis.simlint import Violation
 
 __all__ = ["SARIF_SCHEMA_URI", "SARIF_VERSION", "render_sarif"]
@@ -28,18 +29,12 @@ TOOL_NAME = "simlint"
 TOOL_URI = "https://example.invalid/repro/docs/static_analysis.md"
 
 
-def _rule_descriptors(rule_ids: Sequence[str]) -> List[Dict[str, object]]:
-    from repro.analysis.rules_interproc import INTERPROC_RULES
-    merged = {**simlint.RULES, **INTERPROC_RULES}
-    out: List[Dict[str, object]] = []
-    for rid in sorted(rule_ids):
-        desc = merged.get(rid, rid)
-        out.append({
-            "id": rid,
-            "shortDescription": {"text": desc},
-            "defaultConfiguration": {"level": "error"},
-        })
-    return out
+def _rule_descriptors(rule_ids: Iterable[str]) -> List[Dict[str, object]]:
+    return [{
+        "id": rid,
+        "shortDescription": {"text": ALL_RULES[rid]},
+        "defaultConfiguration": {"level": "error"},
+    } for rid in sorted(rule_ids)]
 
 
 def _artifact_uri(path: str, project: Optional[Project]) -> str:
@@ -76,11 +71,8 @@ def render_sarif(report: AnalysisReport,
         uri = _artifact_uri(v.path, project)
         state = "new" if id(v) in new else "unchanged"
         results.append(_result(v, uri, fp, state))
-    rule_ids = sorted({v.rule for v in report.violations}
-                      | set(simlint.RULES))
-    if report.interprocedural:
-        from repro.analysis.rules_interproc import INTERPROC_RULES
-        rule_ids = sorted(set(rule_ids) | set(INTERPROC_RULES))
+    # Every rule of the families that ran, findings or not.
+    rule_ids = ALL_RULES if report.interprocedural else simlint.RULES
     doc = {
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,

@@ -58,34 +58,32 @@ its JSON report so a creeping pile of waivers is visible.
 
 Usage
 -----
-``python -m repro lint [paths...]`` (see :func:`run`), or
-programmatically::
+``python -m repro lint [ROOT]`` runs these rules together with the
+whole-program families through :func:`repro.analysis.engine.analyze`;
+:func:`lint_source` / :func:`lint_tree` check one snippet or parsed
+module::
 
-    from repro.analysis import lint_paths
-    violations = lint_paths(["src/repro"])
+    from repro.analysis.simlint import lint_source
+    violations, pragmas_used = lint_source(src, sim_scope=True)
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
-    "LintReport",
     "RULES",
     "Violation",
-    "lint_file",
-    "lint_paths",
+    "apply_pragmas",
+    "check_tree",
+    "cycle_sink",
     "lint_source",
     "lint_tree",
-    "parse_pragmas",
-    "render_json",
-    "render_text",
 ]
 
 #: Rule id -> one-line description (the CLI's --list-rules output).
@@ -137,14 +135,14 @@ _NUMPY_LEGACY_RNG = {
 }
 _UNORDERED_FACTORIES = {"set", "frozenset", "vars", "globals", "locals"}
 _LISTING_ATTRS = {"listdir", "scandir", "iterdir", "glob", "iglob"}
-#: Callables blessing a cycle argument (explicit, reviewable integerizing).
+#: Callables blessing a cycle argument (explicit, reviewable integerizing);
+#: the taint layer clears unit taint at the same names.
 _INTEGERIZERS = {"int", "round", "floor", "ceil", "len", "max", "min", "abs"}
 #: repro.units producers returning integer cycles.
 _UNITS_PRODUCERS = {"ms", "us", "seconds"}
-#: Constructors whose first argument is denominated in cycles.
-_CYCLE_OPS = {"Compute", "Sleep"}
-#: name -> index of the cycle-valued argument for mixed-arg constructors.
-_CYCLE_OP_ARGS = {"Critical": 1}  # Critical(lock, hold)
+#: Op constructor -> index of its cycle-denominated argument
+#: (``Critical(lock, hold)``).
+_CYCLE_OP_ARGS = {"Compute": 0, "Sleep": 0, "Critical": 1}
 
 
 @dataclass(frozen=True)
@@ -163,22 +161,6 @@ class Violation:
     def to_dict(self) -> Dict[str, object]:
         return {"path": self.path, "line": self.line, "col": self.col,
                 "rule": self.rule, "message": self.message}
-
-
-@dataclass
-class LintReport:
-    """Aggregate outcome of one lint run."""
-
-    violations: List[Violation]
-    files_checked: int
-    pragmas_used: int
-    #: rule id -> number of pragma waivers that fired for it (the audit
-    #: trail behind ``--max-waivers``); keys are sorted on render.
-    waivers_by_rule: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 # --------------------------------------------------------------------- #
@@ -213,13 +195,23 @@ def _parse_pragmas(source: str) -> Dict[int, Optional[Set[str]]]:
     return pragmas
 
 
-def parse_pragmas(source: str) -> Dict[int, Optional[Set[str]]]:
-    """Public pragma table: line -> waived rule set (None = all rules).
+def apply_pragmas(violations: Iterable[Violation], source: str,
+                  waivers: Dict[str, int]) -> List[Violation]:
+    """Drop the violations an inline pragma in ``source`` waives.
 
-    Used by :mod:`repro.analysis.engine` to apply the same inline-waiver
-    semantics to interprocedural findings.
+    Each waived violation is counted under its rule in ``waivers`` (the
+    audit trail behind ``--max-waivers``); the rest are returned in
+    order.  Per-file and interprocedural findings share this one rule.
     """
-    return _parse_pragmas(source)
+    pragmas = _parse_pragmas(source)
+    kept: List[Violation] = []
+    for v in violations:
+        waived = pragmas.get(v.line)
+        if v.line in pragmas and (waived is None or v.rule in waived):
+            waivers[v.rule] = waivers.get(v.rule, 0) + 1
+        else:
+            kept.append(v)
+    return kept
 
 
 # --------------------------------------------------------------------- #
@@ -330,6 +322,32 @@ def _looks_like_sim(receiver: ast.expr) -> bool:
     if isinstance(receiver, ast.Attribute):
         return receiver.attr in ("sim", "_sim")
     return False
+
+
+def cycle_sink(call: ast.Call,
+               is_sim: Callable[[ast.expr], bool] = _looks_like_sim
+               ) -> Optional[Tuple[str, List[ast.expr]]]:
+    """``(label, cycle-valued args)`` when ``call`` is a cycle sink.
+
+    The sinks are ``sim.at/after/every`` on a receiver ``is_sim``
+    accepts (first positional argument plus the time keywords) and the
+    cycle-denominated op constructors ``Compute``/``Sleep`` (first
+    argument) and ``Critical`` (the hold, index 1).  ``None`` for any
+    other call.  The per-file ``float-into-cycles`` rule and the taint
+    layer's ``cycle-unit-flow`` both decide sinks here; taint widens
+    ``is_sim`` with receivers typed as a ``Simulator``.
+    """
+    fn = call.func
+    if isinstance(fn, ast.Attribute) and fn.attr in ("at", "after", "every"):
+        if not is_sim(fn.value):
+            return None
+        return f"sim.{fn.attr}()", call.args[:1] + [
+            kw.value for kw in call.keywords
+            if kw.arg in ("time", "delay", "period", "start_offset")]
+    if isinstance(fn, ast.Name) and fn.id in _CYCLE_OP_ARGS:
+        idx = _CYCLE_OP_ARGS[fn.id]
+        return f"{fn.id}()", call.args[idx:idx + 1]
+    return None
 
 
 def _mutable_default(node: ast.expr) -> bool:
@@ -539,26 +557,10 @@ class _Checker(ast.NodeVisitor):
                            "draws OS entropy; pass an explicit seed")
 
     def _check_cycle_args(self, node: ast.Call) -> None:
-        fn = node.func
-        cycle_args: List[ast.expr] = []
-        where = ""
-        if isinstance(fn, ast.Attribute) and fn.attr in ("at", "after",
-                                                         "every") \
-                and _looks_like_sim(fn.value):
-            if node.args:
-                cycle_args.append(node.args[0])
-            for kw in node.keywords:
-                if kw.arg in ("time", "delay", "period", "start_offset"):
-                    cycle_args.append(kw.value)
-            where = f"sim.{fn.attr}()"
-        elif isinstance(fn, ast.Name) and fn.id in _CYCLE_OPS and node.args:
-            cycle_args.append(node.args[0])
-            where = f"{fn.id}()"
-        elif isinstance(fn, ast.Name) and fn.id in _CYCLE_OP_ARGS:
-            idx = _CYCLE_OP_ARGS[fn.id]
-            if len(node.args) > idx:
-                cycle_args.append(node.args[idx])
-            where = f"{fn.id}()"
+        sink = cycle_sink(node)
+        if sink is None:
+            return
+        where, cycle_args = sink
         for arg in cycle_args:
             taint = _float_taint(arg)
             if taint is not None:
@@ -689,7 +691,7 @@ class _Checker(ast.NodeVisitor):
 
 
 # --------------------------------------------------------------------- #
-# File / path drivers
+# Entry points
 # --------------------------------------------------------------------- #
 def _scope_of(path: Path, assume_sim: bool) -> Tuple[bool, bool]:
     """(sim_scope, hot_module) for a file, from its repro-relative path."""
@@ -709,16 +711,11 @@ def _scope_of(path: Path, assume_sim: bool) -> Tuple[bool, bool]:
     return sim_scope, hot
 
 
-def lint_tree(tree: ast.Module, source: str, path: str = "<string>",
-              sim_scope: bool = False, hot_module: bool = False,
-              rules: Optional[Iterable[str]] = None
-              ) -> Tuple[List[Violation], int, Dict[str, int]]:
-    """Lint an already-parsed module.
-
-    Returns ``(violations, pragmas_used, waivers_by_rule)`` — the
-    engine reuses its own parse through this entry point, and the
-    per-rule waiver counts feed the ``--max-waivers`` audit.
-    """
+def check_tree(tree: ast.Module, path: str = "<string>",
+               sim_scope: bool = False, hot_module: bool = False,
+               rules: Optional[Iterable[str]] = None) -> List[Violation]:
+    """Every per-file rule breach in an already-parsed module, before
+    pragma waivers (:func:`apply_pragmas` applies those)."""
     active = set(rules) if rules is not None else set(RULES)
     unknown = active - set(RULES)
     if unknown:
@@ -726,18 +723,25 @@ def lint_tree(tree: ast.Module, source: str, path: str = "<string>",
     checker = _Checker(path, sim_scope, hot_module, active,
                        rng_aliases=_collect_rng_aliases(tree))
     checker.visit(tree)
-    pragmas = _parse_pragmas(source)
-    kept: List[Violation] = []
-    used = 0
+    return checker.found
+
+
+def lint_tree(tree: ast.Module, source: str, path: str = "<string>",
+              sim_scope: bool = False, hot_module: bool = False,
+              rules: Optional[Iterable[str]] = None
+              ) -> Tuple[List[Violation], int, Dict[str, int]]:
+    """Lint an already-parsed module.
+
+    Returns ``(violations, pragmas_used, waivers_by_rule)``, violations
+    in ``(line, col, rule)`` order.
+    """
+    found = check_tree(tree, path=path, sim_scope=sim_scope,
+                       hot_module=hot_module, rules=rules)
     per_rule: Dict[str, int] = {}
-    for v in sorted(checker.found, key=lambda v: (v.line, v.col, v.rule)):
-        waived = pragmas.get(v.line)
-        if v.line in pragmas and (waived is None or v.rule in waived):
-            used += 1
-            per_rule[v.rule] = per_rule.get(v.rule, 0) + 1
-            continue
-        kept.append(v)
-    return kept, used, per_rule
+    kept = apply_pragmas(
+        sorted(found, key=lambda v: (v.line, v.col, v.rule)), source,
+        per_rule)
+    return kept, sum(per_rule.values()), per_rule
 
 
 def lint_source(source: str, path: str = "<string>",
@@ -750,75 +754,3 @@ def lint_source(source: str, path: str = "<string>",
                               sim_scope=sim_scope, hot_module=hot_module,
                               rules=rules)
     return kept, used
-
-
-def _lint_file_full(path: Path, assume_sim: bool = False,
-                    rules: Optional[Iterable[str]] = None
-                    ) -> Tuple[List[Violation], int, Dict[str, int]]:
-    sim_scope, hot = _scope_of(path, assume_sim)
-    source = path.read_text(encoding="utf-8")
-    tree = ast.parse(source, filename=str(path))
-    return lint_tree(tree, source, path=str(path), sim_scope=sim_scope,
-                     hot_module=hot, rules=rules)
-
-
-def lint_file(path: Path, assume_sim: bool = False,
-              rules: Optional[Iterable[str]] = None
-              ) -> Tuple[List[Violation], int]:
-    """Lint one file on disk."""
-    found, used, _ = _lint_file_full(path, assume_sim=assume_sim,
-                                     rules=rules)
-    return found, used
-
-
-def lint_paths(paths: Sequence, assume_sim: bool = False,
-               rules: Optional[Iterable[str]] = None) -> LintReport:
-    """Lint files and directories (recursively, ``*.py``)."""
-    files: List[Path] = []
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
-        else:
-            files.append(p)
-    violations: List[Violation] = []
-    pragmas = 0
-    waivers: Dict[str, int] = {}
-    for f in files:
-        found, used, per_rule = _lint_file_full(f, assume_sim=assume_sim,
-                                                rules=rules)
-        violations.extend(found)
-        pragmas += used
-        for rule, n in per_rule.items():
-            waivers[rule] = waivers.get(rule, 0) + n
-    return LintReport(violations=violations, files_checked=len(files),
-                      pragmas_used=pragmas,
-                      waivers_by_rule=dict(sorted(waivers.items())))
-
-
-# --------------------------------------------------------------------- #
-# Reporters
-# --------------------------------------------------------------------- #
-def render_text(report: LintReport) -> str:
-    """Compiler-style ``path:line:col: rule: message`` lines + summary."""
-    lines = [v.render() for v in report.violations]
-    summary = (f"{len(report.violations)} violation(s) in "
-               f"{report.files_checked} file(s), "
-               f"{report.pragmas_used} pragma waiver(s)")
-    return "\n".join(lines + [summary])
-
-
-def render_json(report: LintReport) -> str:
-    """Machine-readable report: violations, file count, pragma counts.
-
-    ``waivers_by_rule`` is emitted with sorted keys so diffs of the
-    report are stable — the audit trail behind ``--max-waivers``.
-    """
-    doc = {
-        "violations": [v.to_dict() for v in report.violations],
-        "files_checked": report.files_checked,
-        "pragmas_used": report.pragmas_used,
-        "waivers_by_rule": dict(sorted(report.waivers_by_rule.items())),
-        "ok": report.ok,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

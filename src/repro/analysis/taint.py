@@ -33,6 +33,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis import simlint
 from repro.analysis.callgraph import LocalTypes
 from repro.analysis.engine import (FunctionInfo, ModuleInfo, Project,
                                    _dotted_name)
@@ -56,9 +57,6 @@ DRAW_METHODS: Set[str] = {
     "triangular", "weibull", "chisquare", "dirichlet", "multinomial",
 }
 
-_INTEGERIZERS = {"int", "round", "len", "max", "min", "abs", "floor",
-                 "ceil"}
-_UNITS_PRODUCERS = {"ms", "us", "seconds"}
 _UNITS_WALL = {"to_ms", "to_seconds"}
 _GENERATOR_TYPE = "numpy.random.Generator"
 _STREAMS_CLASS = "RngStreams"
@@ -323,11 +321,11 @@ class FunctionEvaluator:
             if dotted is not None else None
 
         # Conversion boundaries clear taint.
-        if name in _INTEGERIZERS or qname == "sorted":
+        if name in simlint._INTEGERIZERS or qname == "sorted":
             return set()
         if (qname or "").startswith("math."):
             return set()
-        if name in _UNITS_PRODUCERS and (
+        if name in simlint._UNITS_PRODUCERS and (
                 qname is None or qname.endswith(f"units.{name}")
                 or qname == name):
             return set()
@@ -498,10 +496,11 @@ class FunctionEvaluator:
 
     # -- cycle sinks ------------------------------------------------------ #
     def _check_direct_sink(self, call: ast.Call) -> None:
-        label = self._sink_label(call)
-        if label is None:
+        sink = simlint.cycle_sink(call, self._is_sim)
+        if sink is None:
             return
-        for arg in self._sink_args(call, label):
+        label, args = sink
+        for arg in args:
             tags = self.eval(arg)
             self.sink_args.append((arg, label, tags))
             for t in tags:
@@ -514,44 +513,11 @@ class FunctionEvaluator:
                         self.ctx.summaries[init.qname] \
                             .param_sink.setdefault(int(idx), label)
 
-    def _sink_label(self, call: ast.Call) -> Optional[str]:
-        fn = call.func
-        if isinstance(fn, ast.Attribute) and fn.attr in ("at", "after",
-                                                         "every"):
-            recv_t = self.local.type_of_expr(fn.value)
-            if recv_t is not None and recv_t.endswith(".Simulator"):
-                return f"sim.{fn.attr}()"
-            if _looks_like_sim_name(fn.value):
-                return f"sim.{fn.attr}()"
-            return None
-        name = fn.id if isinstance(fn, ast.Name) else None
-        if name in ("Compute", "Sleep", "Critical"):
-            return f"{name}()"
-        return None
-
-    def _sink_args(self, call: ast.Call, label: str) -> List[ast.expr]:
-        out: List[ast.expr] = []
-        if label.startswith("sim."):
-            if call.args:
-                out.append(call.args[0])
-            for kw in call.keywords:
-                if kw.arg in ("time", "delay", "period", "start_offset"):
-                    out.append(kw.value)
-        elif label == "Critical()":
-            if len(call.args) > 1:
-                out.append(call.args[1])
-        else:
-            if call.args:
-                out.append(call.args[0])
-        return out
-
-
-def _looks_like_sim_name(receiver: ast.expr) -> bool:
-    if isinstance(receiver, ast.Name):
-        return receiver.id in ("sim", "_sim")
-    if isinstance(receiver, ast.Attribute):
-        return receiver.attr in ("sim", "_sim")
-    return False
+    def _is_sim(self, receiver: ast.expr) -> bool:
+        """A Simulator receiver: typed as one, or named like one."""
+        recv_t = self.local.type_of_expr(receiver)
+        return (recv_t is not None and recv_t.endswith(".Simulator")) \
+            or simlint._looks_like_sim(receiver)
 
 
 def compute_summaries(project: Project,

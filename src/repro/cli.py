@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
                     Sequence)
@@ -536,34 +537,36 @@ def _lint_emit(text: str, output) -> None:
         print(text)
 
 
-def _check_waiver_budget(pragmas_used: int, max_waivers) -> int:
-    if max_waivers is not None and pragmas_used > max_waivers:
-        print(f"lint: {pragmas_used} pragma waiver(s) exceed the "
-              f"--max-waivers budget of {max_waivers}", file=sys.stderr)
-        return 1
-    return 0
+def cmd_lint(args) -> int:
+    """``repro lint [ROOT]``: simlint's per-file rules plus the
+    whole-program rule families (:func:`repro.analysis.engine.analyze`)
+    over one package root (default: the source tree), or over one
+    ``.py`` file's package with reporting confined to that file.
 
-
-def _cmd_lint_interproc(args, rules) -> int:
-    """The ``--interprocedural`` arm: whole-program analysis with the
-    SARIF/baseline workflow."""
+    New findings (not in the ``analysis-baseline.json`` suppression
+    baseline) exit 1, as does a pragma waiver count above
+    ``--max-waivers``; usage errors exit 2."""
     import json as _json
     import pathlib
 
     from repro.analysis.engine import (analyze, load_baseline,
                                        write_baseline)
+    from repro.analysis.rules_interproc import ALL_RULES, INTERPROC_RULES
     from repro.analysis.sarif import render_sarif
 
+    if args.list_rules:
+        labels = {r: f"{r} [interprocedural]" if r in INTERPROC_RULES
+                  else r for r in ALL_RULES}
+        width = max(map(len, labels.values()))
+        for rule, desc in ALL_RULES.items():
+            print(f"{labels[rule]:<{width}}  {desc}")
+        return 0
     if len(args.paths) > 1:
-        print("lint error: --interprocedural takes one package root",
+        print("lint error: lint takes one package root or .py file",
               file=sys.stderr)
         return 2
     root = pathlib.Path(args.paths[0]) if args.paths \
         else _lint_default_root()
-    if not root.is_dir():
-        print(f"lint error: {root} is not a package directory",
-              file=sys.stderr)
-        return 2
 
     baseline_path = pathlib.Path(args.baseline)
     baseline_doc = None
@@ -579,8 +582,9 @@ def _cmd_lint_interproc(args, rules) -> int:
         if args.diff is not None else None
     try:
         report, project, sources = analyze(
-            root, rules=rules, baseline=baseline_doc,
-            changed_files=changed, assume_sim=args.assume_sim)
+            root, rules=args.rules.split(",") if args.rules else None,
+            baseline=baseline_doc, changed_files=changed,
+            assume_sim=args.assume_sim)
     except (ValueError, OSError, SyntaxError) as exc:
         print(f"lint error: {exc}", file=sys.stderr)
         return 2
@@ -602,7 +606,7 @@ def _cmd_lint_interproc(args, rules) -> int:
             "files_checked": report.files_checked,
             "pragmas_used": report.pragmas_used,
             "waivers_by_rule": report.waivers_by_rule,
-            "interprocedural": True,
+            "interprocedural": report.interprocedural,
             "ok": report.ok,
         }
         _lint_emit(_json.dumps(doc, indent=2, sort_keys=True),
@@ -614,62 +618,20 @@ def _cmd_lint_interproc(args, rules) -> int:
             f"({len(report.new)} new, {len(report.grandfathered)} "
             f"grandfathered) in {report.files_checked} file(s), "
             f"{report.pragmas_used} pragma waiver(s)")
-        if report.stale_baseline and changed is None:
+        if report.stale_baseline and changed is None \
+                and not root.is_file():
             lines.append(
                 f"warning: {len(report.stale_baseline)} stale baseline "
                 f"entr(y/ies) no longer occur — prune {baseline_path}")
         _lint_emit("\n".join(lines), args.output)
 
-    budget_rc = _check_waiver_budget(report.pragmas_used,
-                                     args.max_waivers)
-    return 1 if (report.new or budget_rc) else 0
-
-
-def cmd_lint(args) -> int:
-    """``repro lint``: run simlint over the source tree (default) or the
-    given paths; exit 1 if violations are found.
-
-    ``--interprocedural`` switches to the whole-program engine
-    (:mod:`repro.analysis.engine`) with the three cross-function rule
-    families, SARIF output and the ``analysis-baseline.json``
-    suppression workflow."""
-    import pathlib
-
-    from repro import analysis
-
-    if args.list_rules:
-        from repro.analysis.rules_interproc import INTERPROC_RULES
-        merged = dict(analysis.RULES)
-        merged.update({f"{r} [interprocedural]": d
-                       for r, d in INTERPROC_RULES.items()})
-        width = max(len(r) for r in merged)
-        for rule, desc in merged.items():
-            print(f"{rule:<{width}}  {desc}")
-        return 0
-    rules = args.rules.split(",") if args.rules else None
-    if args.format == "sarif" and not args.interprocedural:
-        print("lint error: --format sarif requires --interprocedural",
+    if args.max_waivers is not None \
+            and report.pragmas_used > args.max_waivers:
+        print(f"lint: {report.pragmas_used} pragma waiver(s) exceed the "
+              f"--max-waivers budget of {args.max_waivers}",
               file=sys.stderr)
-        return 2
-    if args.interprocedural:
-        return _cmd_lint_interproc(args, rules)
-    if args.paths:
-        paths = [pathlib.Path(p) for p in args.paths]
-    else:
-        paths = [_lint_default_root()]
-    try:
-        report = analysis.lint_paths(paths, assume_sim=args.assume_sim,
-                                     rules=rules)
-    except (ValueError, OSError, SyntaxError) as exc:
-        print(f"lint error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        _lint_emit(analysis.render_json(report), args.output)
-    else:
-        _lint_emit(analysis.render_text(report), args.output)
-    budget_rc = _check_waiver_budget(report.pragmas_used,
-                                     args.max_waivers)
-    return 1 if (not report.ok or budget_rc) else 0
+        return 1
+    return 1 if report.new else 0
 
 
 def cmd_perf(args) -> int:
@@ -787,7 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
             "  4  CellTimeoutError: cells exceeded their wall-clock "
             "budgets\n"
             "  5  CacheIntegrityError: result-cache entries failed "
-            "checksum verification\n"))
+            "checksum verification\n"
+            "  141  stdout closed early (e.g. piped into head)\n"))
     sub = p.add_subparsers(dest="command", required=True)
 
     #: Shared by every simulation-running subcommand.
@@ -967,13 +930,12 @@ def build_parser() -> argparse.ArgumentParser:
     xp.add_argument("--seeds", type=int, nargs="*", default=(1,))
 
     lp = sub.add_parser("lint", help="simlint static checker")
-    lp.add_argument("paths", nargs="*",
-                    help="files/directories to lint (default: src/repro; "
-                         "with --interprocedural: one package root)")
+    lp.add_argument("paths", nargs="*", metavar="ROOT",
+                    help="one package root (default: src/repro), or one "
+                         ".py file: its package is indexed and findings "
+                         "are reported only in that file")
     lp.add_argument("--format", choices=("text", "json", "sarif"),
-                    default="text",
-                    help="output format (sarif requires "
-                         "--interprocedural)")
+                    default="text", help="output format")
     lp.add_argument("--rules", metavar="NAMES",
                     help="comma-separated rule subset (see --list-rules)")
     lp.add_argument("--list-rules", action="store_true",
@@ -981,14 +943,11 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--assume-sim", action="store_true",
                     help="apply simulation-scoped rules to every file "
                          "regardless of its package path")
-    lp.add_argument("--interprocedural", action="store_true",
-                    help="whole-program analysis: call graph + taint "
-                         "rule families over one package root")
     lp.add_argument("--baseline", metavar="PATH",
                     default="analysis-baseline.json",
-                    help="suppression baseline for --interprocedural "
-                         "(default: analysis-baseline.json; new findings "
-                         "fail, grandfathered ones are counted)")
+                    help="suppression baseline (default: "
+                         "analysis-baseline.json; new findings fail, "
+                         "grandfathered ones are counted)")
     lp.add_argument("--no-baseline", action="store_true",
                     help="ignore the baseline: every finding is 'new'")
     lp.add_argument("--update-baseline", action="store_true",
@@ -1033,12 +992,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ``repro --help``): 3 for :class:`~repro.errors.ExecutionError`,
     4 for :class:`~repro.errors.CellTimeoutError`, 5 for
     :class:`~repro.errors.CacheIntegrityError`, 2 for
-    :class:`~repro.errors.ConfigurationError`.
+    :class:`~repro.errors.ConfigurationError`, and 141 (128 + SIGPIPE)
+    when stdout is closed early, as in ``repro lint | head -1``.
     """
     from repro.errors import (CacheIntegrityError, CellTimeoutError,
                               ConfigurationError, ExecutionError)
     try:
-        return _main(argv)
+        status = _main(argv)
+        # Flush here rather than at interpreter exit, so a reader that
+        # already left surfaces as the BrokenPipeError handled below.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of
+        # whatever is still buffered stays silent.
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except CellTimeoutError as exc:  # before ExecutionError: subclass
         print(f"timeout: {exc}", file=sys.stderr)
         return 4

@@ -13,7 +13,7 @@ The design mirrors :class:`~repro.faults.spec.FaultSpec`:
   cell key, attempt)`` drawn from dedicated named
   :class:`~repro.sim.rng.RngStreams` (``chaos/<site>/<cell>/<attempt>``)
   — no wall-clock randomness, so a chaos schedule is reproducible and
-  ``simlint --interprocedural`` stays clean;
+  ``repro lint`` stays clean;
 * by default chaos **spares the final allowed attempt** of each cell
   (``spare_final_attempt``), so a supervised run under kills/stalls/
   corruption is *guaranteed* to converge to results bit-identical to a

@@ -21,7 +21,7 @@ results:
   ``max_retries`` per cell, with backoff delays derived from the cell key
   through the :mod:`repro.sim.rng` named-stream discipline
   (``supervisor/backoff/<cell>/<attempt>``) — no wall-clock randomness,
-  so ``simlint --interprocedural`` stays clean.
+  so ``repro lint`` stays clean.
 * **Journaled resume** — every completed cell is appended (atomically,
   ``fsync`` per line) to ``<cache>/journal/<batch-key>.jsonl``; an
   interrupted sweep re-run with ``resume=True`` re-executes only the

@@ -17,6 +17,7 @@ from repro.analysis.engine import (
     analyze,
     fingerprint_violation,
     load_baseline,
+    package_root,
     partition_against_baseline,
     stable_rel_path,
     write_baseline,
@@ -276,3 +277,18 @@ class TestAnalyzeDriver:
         report, _, _ = analyze(rng_pkg, changed_files=[target])
         assert {v.path for v in report.violations} == {str(target)}
         assert report.files_checked > 1
+
+    def test_file_root_is_diff_mode_on_its_package(self):
+        rng_pkg = FIXTURES / "rng_pkg" / "repro"
+        target = rng_pkg / "faults" / "inj.py"
+        assert package_root(target) == rng_pkg.resolve()
+        report, project, _ = analyze(target)
+        assert project.root == rng_pkg.resolve()
+        assert [(v.path, v.rule) for v in report.violations] == [
+            (str(target.resolve()), "rng-provenance")]
+
+    def test_non_python_file_root_rejected(self, tmp_path):
+        notes = tmp_path / "notes.txt"
+        notes.write_text("not code\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="not a Python source file"):
+            analyze(notes)

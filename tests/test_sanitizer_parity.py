@@ -7,7 +7,7 @@ from unittest import mock
 
 from repro.analysis import parity, simlint
 from repro.analysis.parity import INVARIANT_PARITY, Invariant, verify_parity
-from repro.analysis.rules_interproc import INTERPROC_RULES
+from repro.analysis.rules_interproc import ALL_RULES, INTERPROC_RULES
 from repro.analysis.sanitizer import RUNTIME_CHECKS
 
 
@@ -43,9 +43,9 @@ class TestDriftFailsLoudly:
                    for p in problems)
 
     def test_new_static_rule_without_row(self):
-        grown = dict(INTERPROC_RULES)
+        grown = dict(ALL_RULES)
         grown["brand-new-rule"] = "added without a parity decision"
-        with mock.patch.object(parity, "INTERPROC_RULES", grown):
+        with mock.patch.object(parity, "ALL_RULES", grown):
             problems = verify_parity()
         assert any("brand-new-rule" in p and "no row" in p
                    for p in problems)

@@ -2,12 +2,17 @@
 the idiomatic negative case, and honours the pragma escape hatch."""
 
 import ast
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import simlint
+from repro.analysis.engine import analyze
 from repro.cli import main as cli_main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "simlint" / "violations.py"
@@ -261,12 +266,13 @@ class TestPragmas:
         assert per_rule == {"wall-clock": 1, "float-into-cycles": 2}
 
     def test_report_aggregates_waivers_by_rule(self):
-        report = simlint.lint_paths([FIXTURE], assume_sim=True)
+        report, _, _ = analyze(FIXTURE, assume_sim=True)
         assert report.waivers_by_rule == {"float-into-cycles": 1}
 
-    def test_json_render_includes_waivers_by_rule(self):
-        report = simlint.lint_paths([FIXTURE], assume_sim=True)
-        doc = json.loads(simlint.render_json(report))
+    def test_json_render_includes_waivers_by_rule(self, capsys):
+        cli_main(["lint", "--assume-sim", "--format", "json",
+                  str(FIXTURE)])
+        doc = json.loads(capsys.readouterr().out)
         assert doc["waivers_by_rule"] == {"float-into-cycles": 1}
 
 
@@ -299,28 +305,30 @@ class TestScoping:
 
 class TestDriversAndReporters:
     def test_fixture_trips_every_rule(self):
-        found, used = simlint.lint_file(FIXTURE, assume_sim=True)
-        hit = {v.rule for v in found}
+        report, _, _ = analyze(FIXTURE, assume_sim=True)
+        hit = {v.rule for v in report.violations}
         expected = set(simlint.RULES) - {"slots-required"}
         assert expected <= hit
-        assert used == 1  # the waived() pragma
+        assert report.pragmas_used == 1  # the waived() pragma
 
-    def test_lint_paths_report(self):
-        report = simlint.lint_paths([FIXTURE.parent], assume_sim=True)
+    def test_directory_report(self):
+        report, _, _ = analyze(FIXTURE.parent, assume_sim=True)
         assert report.files_checked == 1
         assert not report.ok
 
-    def test_json_render_round_trips(self):
-        report = simlint.lint_paths([FIXTURE], assume_sim=True)
-        doc = json.loads(simlint.render_json(report))
+    def test_json_render_round_trips(self, capsys):
+        cli_main(["lint", "--assume-sim", "--format", "json",
+                  str(FIXTURE)])
+        doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False
         assert doc["pragmas_used"] == 1
+        assert doc["files_checked"] == 1
         first = doc["violations"][0]
         assert set(first) == {"path", "line", "col", "rule", "message"}
 
-    def test_text_render_is_compiler_style(self):
-        report = simlint.lint_paths([FIXTURE], assume_sim=True)
-        line = simlint.render_text(report).splitlines()[0]
+    def test_text_render_is_compiler_style(self, capsys):
+        cli_main(["lint", "--assume-sim", str(FIXTURE)])
+        line = capsys.readouterr().out.splitlines()[0]
         path, lineno, col, rest = line.split(":", 3)
         assert path.endswith("violations.py")
         assert lineno.isdigit() and col.isdigit()
@@ -330,7 +338,7 @@ class TestCli:
     def test_lint_src_repro_is_clean(self, capsys):
         src = Path(__file__).resolve().parent.parent / "src" / "repro"
         assert cli_main(["lint", str(src)]) == 0
-        assert "0 violation(s)" in capsys.readouterr().out
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_lint_fixture_fails(self, capsys):
         assert cli_main(["lint", "--assume-sim", str(FIXTURE)]) == 1
@@ -381,3 +389,23 @@ class TestCli:
         doc = json.loads(out_path.read_text(encoding="utf-8"))
         assert doc["ok"] is False
         assert "wrote" in capsys.readouterr().out
+
+    def test_closed_stdout_exits_141(self, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli_main(["lint", "--list-rules"]) == 141
+
+
+def test_run_path_does_not_load_the_linter():
+    src = Path(simlint.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.experiments.setup;"
+         "print('repro.analysis.simlint' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
