@@ -765,7 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
     fabric_common.add_argument(
         "--jobs", metavar="N|auto", default=None,
         help="fan independent scenario cells out over N worker "
-             "processes ('auto' = one per CPU; default: $REPRO_JOBS or 1)")
+             "processes ('auto' or 0 = one per CPU; default: $REPRO_JOBS "
+             "or 1)")
     fabric_common.add_argument(
         "--no-cache", action="store_true",
         help="disable the content-addressed result cache")
@@ -809,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("name", help="e.g. fig07 (see `repro list`)")
     fp.add_argument("--scale", type=float, default=None,
                     help="workload scale factor")
-    fp.add_argument("--seeds", type=int, nargs="*", default=None)
+    fp.add_argument("--seeds", type=int, nargs="+", default=None)
     fp.add_argument("--plot", action="store_true",
                     help="also render an ASCII plot")
     fp.add_argument("--json", metavar="PATH", help="export JSON")
@@ -851,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="VCPU online rate (default: the paper's 22.2%%)")
     bp.add_argument("--scale", type=float, default=None,
                     help="workload scale (default 0.6, or 0.3 with --quick)")
-    bp.add_argument("--seeds", type=int, nargs="*", default=(1,))
+    bp.add_argument("--seeds", type=int, nargs="+", default=(1,))
     bp.add_argument("--classes", metavar="NAMES", default=None,
                     help="comma-separated fault classes "
                          "(see --list-classes; default: all)")
@@ -927,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
     xp.add_argument("--workload", default="LU")
     xp.add_argument("--schedulers", default="credit,asman")
     xp.add_argument("--scale", type=float, default=0.15)
-    xp.add_argument("--seeds", type=int, nargs="*", default=(1,))
+    xp.add_argument("--seeds", type=int, nargs="+", default=(1,))
 
     lp = sub.add_parser("lint", help="simlint static checker")
     lp.add_argument("paths", nargs="*", metavar="ROOT",

@@ -87,8 +87,9 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # pytest plugin surface (`pytest -p repro.parallel ...`)
 #
-# Hook functions only — pytest is never imported here, so loading this
-# package as a library costs nothing extra.
+# Hook functions only — neither this package nor any module it imports
+# loads pytest (tests/test_start_path.py pins that), so loading it as a
+# library, in a CLI process or in a spawned worker, costs nothing extra.
 # --------------------------------------------------------------------- #
 def pytest_addoption(parser) -> None:
     """pytest hook: register the fabric's ``--jobs``/cache options."""
@@ -97,7 +98,7 @@ def pytest_addoption(parser) -> None:
     group.addoption(
         "--jobs", action="store", default=None, metavar="N|auto",
         help="fan simulation cells out over N worker processes "
-             "(auto = one per CPU)")
+             "(auto or 0 = one per CPU)")
     group.addoption(
         "--no-cache", action="store_true", dest="repro_no_cache",
         help="disable the content-addressed result cache")

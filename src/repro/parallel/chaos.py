@@ -22,10 +22,11 @@ The design mirrors :class:`~repro.faults.spec.FaultSpec`:
   attempt, proving retry exhaustion yields a structured
   :class:`~repro.parallel.supervisor.CellFailure`, never a lost batch.
 
-Surfaces: the ``repro chaos`` CLI subcommand (self-proving demo), the
-``--chaos KEY=VALUE,...`` option on every fabric subcommand, and the
-``chaos_fabric`` pytest fixture (import it from this module, or load the
-module as a plugin with ``-p repro.parallel.chaos``).
+Surfaces: the ``repro chaos`` CLI subcommand (self-proving demo) and the
+``--chaos KEY=VALUE,...`` option on every fabric subcommand.  The test
+suite's ``chaos_fabric`` fixture lives in ``tests/conftest.py``: this
+module never imports pytest, so neither a ``repro`` process nor a
+spawned pool worker pays for it.
 """
 
 from __future__ import annotations
@@ -271,43 +272,3 @@ def corrupt_cache_entries(spec: ChaosSpec, cache: ResultCache,
         corrupted += 1
     return corrupted
 
-
-# --------------------------------------------------------------------- #
-# pytest surface
-# --------------------------------------------------------------------- #
-# Guarded so importing this module as a library never requires pytest.
-# Use `from repro.parallel.chaos import chaos_fabric` in a test module
-# (or `-p repro.parallel.chaos`) to get the fixture.
-try:  # pragma: no cover - exercised via the test suite itself
-    import pytest as _pytest
-except ImportError:  # pragma: no cover
-    _pytest = None  # type: ignore[assignment]
-
-if _pytest is not None:
-    @_pytest.fixture  # type: ignore[misc]
-    def chaos_fabric(tmp_path):  # type: ignore[no-untyped-def]
-        """Factory running supervised batches under deterministic chaos.
-
-        Returns ``run(specs, chaos=..., policy=..., jobs=..., ...)``
-        backed by a per-test :class:`ResultCache` (journal included), so
-        a test can assert both the merged results and the supervisor's
-        report/journal/quarantine side effects.
-        """
-        from repro.parallel.supervisor import (SupervisorPolicy,
-                                               run_supervised)
-
-        default_cache = ResultCache(tmp_path / "chaos-cache")
-
-        def _run(specs, chaos=None, policy=None, jobs=2,  # type: ignore[no-untyped-def]
-                 cache=None, resume=False):
-            if cache is None:
-                cache = default_cache
-            if policy is None:
-                policy = SupervisorPolicy(max_retries=3,
-                                          max_pool_rebuilds=20)
-            return run_supervised(list(specs), jobs=jobs, cache=cache,
-                                  policy=policy, chaos=chaos,
-                                  resume=resume)
-
-        _run.cache = default_cache  # type: ignore[attr-defined]
-        return _run

@@ -29,9 +29,7 @@ one worker per CPU.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
                     Optional, Sequence, TypeVar, Union)
@@ -41,6 +39,8 @@ from repro.parallel.cache import ResultCache
 from repro.parallel.cells import CellSpec
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.parallel.chaos import ChaosSpec
     from repro.parallel.supervisor import SupervisorPolicy, SupervisorReport
 
@@ -70,11 +70,13 @@ def _coerce_jobs(jobs: Union[int, str]) -> int:
             jobs = int(text)
         except ValueError:
             raise ConfigurationError(
-                f"jobs must be a positive integer or 'auto', got {jobs!r}")
+                f"jobs must be a positive integer, or 0 or 'auto' for "
+                f"one per CPU, got {jobs!r}")
     if jobs == 0:
         return max(1, os.cpu_count() or 1)
     if jobs < 0:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        raise ConfigurationError(
+            f"jobs must be >= 1, or 0 for one per CPU, got {jobs}")
     return jobs
 
 
@@ -160,6 +162,10 @@ def _child_environment() -> None:
 
 
 def _make_pool(workers: int) -> ProcessPoolExecutor:
+    # Imported here, not at module top: the serial path (``--jobs 1``,
+    # every all-hit batch) never builds a pool and so never loads them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     _child_environment()
     ctx = multiprocessing.get_context("spawn")
     return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)

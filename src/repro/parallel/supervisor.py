@@ -48,13 +48,10 @@ import os
 import time
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Callable, Deque, Dict, Iterable, List, Optional,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, Iterable, List,
+                    Optional, Tuple, Union)
 
 from repro.errors import ConfigurationError
 from repro.parallel import chaos as chaos_mod
@@ -65,6 +62,9 @@ from repro.parallel.executor import (CellFailure, CellOutcome, CellResults,
                                      _make_pool, current_context,
                                      resolve_jobs)
 from repro.sim.rng import RngStreams
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "BatchJournal",
@@ -396,6 +396,10 @@ class _Supervisor:
     # -- pool supervised execution -------------------------------------- #
     def run_pool(self, keys: List[str],
                  make_pool: Callable[[int], ProcessPoolExecutor]) -> None:
+        # Pool-only modules load here, so a serial batch never pays them.
+        from concurrent.futures import FIRST_COMPLETED
+        from concurrent.futures import wait as futures_wait
+        from concurrent.futures.process import BrokenProcessPool
         queue: Deque[str] = deque(keys)
         waiting: List[Tuple[float, str]] = []  # (ready_at, key) heap
         inflight: Dict[Future[object], Tuple[str, Optional[float]]] = {}

@@ -78,6 +78,32 @@ def reference_fingerprints(specs) -> dict:
             for spec in specs}
 
 
+@pytest.fixture
+def chaos_fabric(tmp_path):
+    """Factory running supervised batches under deterministic chaos.
+
+    Returns ``run(specs, chaos=..., policy=..., jobs=..., ...)`` backed
+    by a per-test :class:`~repro.parallel.ResultCache` (journal
+    included), so a test can assert both the merged results and the
+    supervisor's report/journal/quarantine side effects.
+    """
+    from repro.parallel import ResultCache, SupervisorPolicy, run_supervised
+
+    default_cache = ResultCache(tmp_path / "chaos-cache")
+
+    def _run(specs, chaos=None, policy=None, jobs=2, cache=None,
+             resume=False):
+        if cache is None:
+            cache = default_cache
+        if policy is None:
+            policy = SupervisorPolicy(max_retries=3, max_pool_rebuilds=20)
+        return run_supervised(list(specs), jobs=jobs, cache=cache,
+                              policy=policy, chaos=chaos, resume=resume)
+
+    _run.cache = default_cache
+    return _run
+
+
 def quiet_guest_config(**overrides) -> GuestConfig:
     """Guest config without the IRQ daemon, for deterministic unit tests."""
     defaults = dict(irq_interval_cycles=0)

@@ -11,11 +11,8 @@ from repro.parallel import (ChaosSpec, ResultCache, SupervisorPolicy,
                             WorkloadSpec, run_supervised, single_vm_cell)
 from repro.parallel.chaos import (ChaosError, ChaosKill, ChaosPoisoned,
                                   apply_worker_chaos, chaos_draw,
-                                  chaos_fabric, corrupt_cache_entries,
-                                  is_poisoned)
+                                  corrupt_cache_entries, is_poisoned)
 from tests.conftest import reference_fingerprints
-
-assert chaos_fabric is not None  # fixture import doubles as the plugin
 
 COMPUTE = WorkloadSpec("synthetic", "compute1", scale=0.2)
 
@@ -266,6 +263,20 @@ class TestCliExitCodes:
         code = cli.main(command + ["--no-cache", "--batch-deadline", "1e-9"])
         assert code == 4
         assert "timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["figure", "fig07"],
+        ["robustness", "--quick"],
+        ["chaos"],
+    ], ids=["figure", "robustness", "chaos"])
+    def test_empty_seeds_is_usage_error(self, command, capsys):
+        """``--seeds`` with no values is rejected, not read as no seeds
+        (a vacuous gate) or as the default seeds."""
+        from repro import cli
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--no-cache", "--seeds"])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
 
     def test_zero_timeout_exits_2(self, tmp_path, capsys):
         from repro import cli

@@ -285,9 +285,10 @@ class TestJobsResolution:
     def test_auto_and_validation(self):
         assert resolve_jobs("auto") >= 1
         assert resolve_jobs(0) >= 1
-        with pytest.raises(ConfigurationError):
+        # The messages name 0 as the other spelling of 'auto'.
+        with pytest.raises(ConfigurationError, match="0 for one per CPU"):
             resolve_jobs(-1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="0 or 'auto'"):
             resolve_jobs("many")
         with pytest.raises(ConfigurationError):
             RunContext(jobs="bogus")  # rejected when built, not when used
