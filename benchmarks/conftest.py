@@ -1,9 +1,9 @@
 """Benchmark harness support.
 
-Each benchmark runs one figure's experiment under pytest-benchmark timing
-and writes the reproduced series to ``benchmarks/results/<figure>.txt`` so
-the output survives pytest's capture.  EXPERIMENTS.md embeds these files'
-contents as the measured side of the paper-vs-measured comparison.
+``test_figures.py`` runs every registered figure under pytest-benchmark
+timing and writes its rendering to ``benchmarks/results/<artifact>``;
+EXPERIMENTS.md embeds these files' contents as the measured side of the
+paper-vs-measured comparison.
 
 The whole session shares one parallel-fabric result cache: figures that
 revisit a cell another benchmark already simulated (same canonical spec)
@@ -18,7 +18,6 @@ import pathlib
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BASELINE = pathlib.Path(__file__).parent / "perf_baseline.json"
 
 
@@ -71,17 +70,3 @@ def fabric_cache(tmp_path_factory):
     with parallel.use_context(dataclasses.replace(ctx, cache=cache)):
         yield cache
 
-
-@pytest.fixture
-def save_result():
-    """Write a FigureResult's rendering to the results directory."""
-
-    def _save(result) -> str:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        name = result.figure.lower().replace(" ", "").replace("figure", "fig")
-        path = RESULTS_DIR / f"{name}.txt"
-        text = result.render()
-        path.write_text(text + "\n")
-        return text
-
-    return _save

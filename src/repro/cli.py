@@ -56,8 +56,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Sequence)
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro import units
 from repro.experiments import figures as F
@@ -72,22 +71,20 @@ from repro.workloads.speccpu import SPEC_CPU_PROFILES, SpecCpuRateWorkload
 if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel import RunContext
 
-#: name -> zero-config callable returning a FigureResult.
-FIGURES: Dict[str, Callable[..., "F.FigureResult"]] = {
-    "fig01a": F.fig01_lu_runtime,
-    "fig01b": F.fig01_spinlock_counts,
-    "fig02": F.fig02_wait_details,
-    "fig07": F.fig07_lu_comparison,
-    "fig08": F.fig08_wait_details_asman,
-    "fig09": F.fig09_nas_slowdowns,
-    "fig10": F.fig10_specjbb,
-    "fig11a": F.fig11a,
-    "fig11b": F.fig11b,
-    "fig12a": F.fig12a,
-    "fig12b": F.fig12b,
-}
-
 SCHEDULERS = ("credit", "asman", "con", "relaxed")
+
+
+def _seed(text: str) -> int:
+    """The argparse type of every ``--seed``/``--seeds``: a non-negative
+    int, so a bad seed is a usage error before any cell runs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer seed, got {text!r}")
+    return value
 
 
 def _workload_factory(name: str, scale: float):
@@ -145,7 +142,7 @@ def _parse_chaos(text: Optional[str]):
 # --------------------------------------------------------------------- #
 def cmd_list(args) -> int:
     """``repro list``: print figures, workloads, schedulers."""
-    print("figures:    " + " ".join(sorted(FIGURES)))
+    print("figures:    " + " ".join(sorted(F.FIGURES)))
     print("workloads:  " + " ".join(list(NAS_PROFILES)
                                     + list(SPEC_CPU_PROFILES)
                                     + ["specjbb"]))
@@ -154,21 +151,11 @@ def cmd_list(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    """``repro figure <name>``: rerun a paper figure, print/export it."""
-    fn = FIGURES.get(args.name)
-    if fn is None:
-        print(f"unknown figure {args.name!r}; try: "
-              + " ".join(sorted(FIGURES)), file=sys.stderr)
-        return 2
-    kwargs = {}
-    if args.scale is not None:
-        kwargs["scale"] = args.scale
-    if args.seeds:
-        kwargs["seeds"] = tuple(args.seeds)
-    try:
-        result = fn(**kwargs)
-    except TypeError:
-        result = fn()  # driver without those knobs (e.g. fig10)
+    """``repro figure <name>``: rerun a paper figure, print/export it.
+
+    With no overrides the printed text is the committed
+    ``benchmarks/results/<artifact>`` of the figure's registry entry."""
+    result = F.run_figure(args.name, scale=args.scale, seeds=args.seeds)
     print(result.render())
     if args.plot:
         line_series = {k: v for k, v in result.series.items()
@@ -488,6 +475,7 @@ def cmd_chaos(args) -> int:
     with use_context(RunContext()):
         ref = run_cells(specs, jobs=1, cache=clean_cache,
                         policy=SupervisorPolicy())
+        ref.raise_if_failed()
         ref_fp = ref.combined_fingerprint()
         print(f"[1/3] clean serial reference        : {ref_fp}")
 
@@ -810,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("name", help="e.g. fig07 (see `repro list`)")
     fp.add_argument("--scale", type=float, default=None,
                     help="workload scale factor")
-    fp.add_argument("--seeds", type=int, nargs="+", default=None)
+    fp.add_argument("--seeds", type=_seed, nargs="+", default=None)
     fp.add_argument("--plot", action="store_true",
                     help="also render an ASCII plot")
     fp.add_argument("--json", metavar="PATH", help="export JSON")
@@ -823,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--rate", type=float, default=0.4,
                     help="VCPU online rate in (0, 1]")
     rp.add_argument("--scale", type=float, default=0.4)
-    rp.add_argument("--seed", type=int, default=1)
+    rp.add_argument("--seed", type=_seed, default=1)
     rp.add_argument("--plot", action="store_true")
     rp.add_argument("--verbose", action="store_true",
                     help="guest introspection + co-online fraction")
@@ -833,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workload", default="LU")
     sp.add_argument("--schedulers", default="credit,asman")
     sp.add_argument("--scale", type=float, default=0.4)
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=_seed, default=1)
 
     jp = sub.add_parser("specjbb", help="SPECjbb warehouse sweep",
                         parents=[sim_common, fabric_common, faults_common])
@@ -841,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     jp.add_argument("--max-warehouses", type=int, default=8)
     jp.add_argument("--window-ms", type=float, default=1000.0)
     jp.add_argument("--schedulers", default="credit,asman")
-    jp.add_argument("--seed", type=int, default=1)
+    jp.add_argument("--seed", type=_seed, default=1)
 
     bp = sub.add_parser("robustness",
                         help="fault-injection degradation matrix",
@@ -852,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="VCPU online rate (default: the paper's 22.2%%)")
     bp.add_argument("--scale", type=float, default=None,
                     help="workload scale (default 0.6, or 0.3 with --quick)")
-    bp.add_argument("--seeds", type=int, nargs="+", default=(1,))
+    bp.add_argument("--seeds", type=_seed, nargs="+", default=(1,))
     bp.add_argument("--classes", metavar="NAMES", default=None,
                     help="comma-separated fault classes "
                          "(see --list-classes; default: all)")
@@ -864,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="list fault classes and exit")
 
     pp = sub.add_parser("perf", help="performance regression harness",
-                        parents=[sim_common, fabric_common])
+                        parents=[sim_common])
     pp.add_argument("--quick", action="store_true",
                     help="smaller iteration counts (CI smoke mode)")
     pp.add_argument("--only", metavar="NAMES",
@@ -893,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
                         parents=[sim_common, fabric_common])
     cp.add_argument("--scenarios", type=int, default=200,
                     help="corpus size (default 200)")
-    cp.add_argument("--seed", type=int, default=1,
+    cp.add_argument("--seed", type=_seed, default=1,
                     help="corpus seed (default 1)")
     cp.add_argument("--schedulers", default="credit,relaxed,asman",
                     help="comma-separated schedulers to cross-check")
@@ -928,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     xp.add_argument("--workload", default="LU")
     xp.add_argument("--schedulers", default="credit,asman")
     xp.add_argument("--scale", type=float, default=0.15)
-    xp.add_argument("--seeds", type=int, nargs="+", default=(1,))
+    xp.add_argument("--seeds", type=_seed, nargs="+", default=(1,))
 
     lp = sub.add_parser("lint", help="simlint static checker")
     lp.add_argument("paths", nargs="*", metavar="ROOT",

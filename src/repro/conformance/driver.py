@@ -32,11 +32,10 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.parallel.cache import ResultCache
     from repro.parallel.executor import CellResults
 
 from repro.conformance.oracle import ScenarioVerdict, Violation, judge
@@ -114,11 +113,8 @@ class ConformanceReport:
 def conform(scenarios: int = 200,
             seed: int = DEFAULT_SEED,
             schedulers: Sequence[str] = SCHEDULERS_UNDER_TEST,
-            jobs: Optional[Union[int, str]] = None,
-            cache: Optional["ResultCache"] = None,
             metamorphic_every: int = 10,
-            roles: Optional[Mapping[str, str]] = None,
-            progress: Optional[Callable[[str], None]] = None
+            roles: Optional[Mapping[str, str]] = None
             ) -> ConformanceReport:
     """Run one conformance corpus and return the judged report."""
     if scenarios < 1:
@@ -153,7 +149,7 @@ def conform(scenarios: int = 200,
             twins[sc.index] = _twin_cells(sc, cells[sc.index].get("credit"))
             specs.extend(twins[sc.index].values())
 
-    results = run_cells(specs, jobs=jobs, cache=cache, progress=progress)
+    results = run_cells(specs)
     # Conformance verdicts need a real result for every cell; a batch
     # that degraded into structured supervision failures cannot be
     # judged and must fail loudly, not mis-judge CellFailure values.

@@ -1,26 +1,30 @@
-"""Per-figure experiment drivers.
+"""Per-figure experiment drivers and the registry that runs them.
 
-Every figure in the paper's evaluation (Figs 1-2, 7-12) has a ``fig*``
-function here that runs the corresponding experiment and returns a
-:class:`FigureResult` whose series mirror what the paper plots.  The
-``benchmarks/`` tree wraps these in pytest-benchmark entries and prints
-the series; EXPERIMENTS.md records the measured shapes against the
-paper's.
+Every figure in the paper's evaluation (Figs 1-2, 7-12) has a driver
+here that runs the corresponding experiment and returns a
+:class:`FigureResult` whose series mirror what the paper plots.
+:data:`FIGURES` is the one definition of each figure: its driver, the
+exact keyword arguments that produce its committed
+``benchmarks/results/<artifact>``, and that file's name.  ``repro
+figure NAME`` and ``benchmarks/test_figures.py`` both call
+:func:`run_figure`, so with no overrides the CLI prints the committed
+text byte for byte; EXPERIMENTS.md records the measured shapes against
+the paper's.
 
 Execution model: each driver first *declares* its full set of scenario
 cells (:class:`~repro.parallel.cells.CellSpec` — one per scheduler ×
 rate × seed × workload point), hands the whole batch to
 :func:`~repro.parallel.run_cells`, then aggregates.  Cells are
-independent simulations, so the batch fans out over ``jobs`` worker
-processes and unchanged cells come back from the content-addressed
-result cache; aggregation iterates the driver's own spec list, so the
-produced series are bit-identical at any job count.  ``jobs=None`` and
-``cache=None`` defer to the installed run context (built from the CLI's
-``--jobs``/``--no-cache`` or the pytest plugin's options) and then to
-``REPRO_JOBS``.
+independent simulations, so the batch fans out over worker processes
+and unchanged cells come back from the content-addressed result cache;
+aggregation iterates the driver's own spec list, so the produced series
+are bit-identical at any job count.  Drivers take no fabric keywords:
+the worker count and the cache come from the installed run context
+(built from the CLI's ``--jobs``/``--no-cache`` or the pytest plugin's
+options), then ``REPRO_JOBS``.
 
-Scale note: ``scale`` shrinks benchmark iteration counts (default runs a
-few simulated seconds instead of the paper's hundreds) and ``seeds``
+Scale note: ``scale`` shrinks benchmark iteration counts (a few
+simulated seconds instead of the paper's hundreds) and ``seeds``
 averages repetitions.  Slowdowns, ratios and distribution shapes are the
 reproduction targets, not absolute seconds (see DESIGN.md).
 """
@@ -28,16 +32,17 @@ reproduction targets, not absolute seconds (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro import units
+from repro.errors import ConfigurationError
 from repro.experiments.runner import (PAPER_RATES, SingleVmResult,
                                       SpecJbbResult)
 from repro.metrics.report import format_series
 from repro.metrics.runtime import ideal_slowdown
 from repro.metrics.throughput import bops_score
 from repro.parallel import run_cells
-from repro.parallel.cache import ResultCache
 from repro.parallel.cells import (CellSpec, WorkloadSpec, multi_vm_cell,
                                   single_vm_cell, specjbb_cell)
 from repro.parallel.executor import CellResults
@@ -45,9 +50,6 @@ from repro.workloads.nas import NAS_PROFILES
 
 #: Percent labels for the paper's four online rates.
 RATE_LABELS = {1.0: "100", 2.0 / 3.0: "66.7", 0.4: "40", 2.0 / 9.0: "22.2"}
-
-#: Type alias for the jobs knob threaded through every driver.
-Jobs = Optional[Union[int, str]]
 
 
 @dataclass
@@ -58,6 +60,10 @@ class FigureResult:
     key); a serial and an N-way parallel regeneration of the same figure
     must render the same value — it is the user-visible determinism
     token of the parallel fabric.
+
+    ``scatter`` marks series too large to print (raw per-event points):
+    :meth:`render` leaves them to their summary notes, while the JSON
+    and CSV exports still carry every point.
     """
 
     figure: str
@@ -65,10 +71,11 @@ class FigureResult:
     series: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
     notes: Dict[str, float] = field(default_factory=dict)
     fingerprint: Optional[str] = None
+    scatter: bool = False
 
     def render(self) -> str:
         parts = [f"=== {self.figure}: {self.description}"]
-        for name, points in self.series.items():
+        for name, points in ({} if self.scatter else self.series).items():
             xs = [p[0] for p in points]
             ys = [p[1] for p in points]
             parts.append(format_series(name, xs, ys))
@@ -104,10 +111,8 @@ def _mean_runtime(results: CellResults,
 # --------------------------------------------------------------------- #
 # Figure 1: LU under the Credit scheduler
 # --------------------------------------------------------------------- #
-def fig01_lu_runtime(scale: float = 0.6,
-                     seeds: Sequence[int] = (1, 2),
-                     jobs: Jobs = None,
-                     cache: Optional[ResultCache] = None) -> FigureResult:
+def fig01_lu_runtime(*, scale: float,
+                     seeds: Sequence[int]) -> FigureResult:
     """Fig 1(a): LU run time vs VCPU online rate under Credit."""
     result = FigureResult("Figure 1a",
                           "LU run time vs VCPU online rate (Credit)")
@@ -115,8 +120,7 @@ def fig01_lu_runtime(scale: float = 0.6,
                                   online_rate=rate, seed=seed)
                    for seed in seeds]
             for rate in PAPER_RATES}
-    results = run_cells([c for cells in grid.values() for c in cells],
-                        jobs=jobs, cache=cache)
+    results = run_cells([c for cells in grid.values() for c in cells])
     pts = []
     for rate in PAPER_RATES:
         rt = _mean_runtime(results, grid[rate])
@@ -130,12 +134,8 @@ def fig01_lu_runtime(scale: float = 0.6,
     return result
 
 
-def fig01_spinlock_counts(scale: float = 0.6,
-                          seeds: Sequence[int] = (1, 2, 3),
-                          window_s: float = 30.0,
-                          jobs: Jobs = None,
-                          cache: Optional[ResultCache] = None
-                          ) -> FigureResult:
+def fig01_spinlock_counts(*, scale: float, seeds: Sequence[int],
+                          window_s: float = 30.0) -> FigureResult:
     """Fig 1(b): number of spinlocks with waits > 2^10 and > 2^20 cycles,
     per VCPU online rate (Credit).
 
@@ -152,8 +152,7 @@ def fig01_spinlock_counts(scale: float = 0.6,
                                   online_rate=rate, seed=seed)
                    for seed in seeds]
             for rate in PAPER_RATES}
-    results = run_cells([c for cells in grid.values() for c in cells],
-                        jobs=jobs, cache=cache)
+    results = run_cells([c for cells in grid.values() for c in cells])
     over10, over20 = [], []
     for rate in PAPER_RATES:
         c10 = c20 = 0.0
@@ -174,45 +173,41 @@ def fig01_spinlock_counts(scale: float = 0.6,
 # --------------------------------------------------------------------- #
 # Figures 2 and 8: per-spinlock wait scatter
 # --------------------------------------------------------------------- #
-def fig02_wait_details(scheduler: str = "credit", scale: float = 0.6,
-                       seed: int = 1,
-                       jobs: Jobs = None,
-                       cache: Optional[ResultCache] = None) -> FigureResult:
+def fig02_wait_details(*, scheduler: str, scale: float,
+                       seed: int) -> FigureResult:
     """Fig 2 (Credit) / Fig 8 (ASMan): the detailed per-spinlock waiting
-    time — (acquisition index, log2 wait) — at each online rate."""
+    time — (acquisition index, log2 wait) — at each online rate.
+
+    The scatter is exported whole; the rendering summarises each rate by
+    its maximum wait, its point count and its waits above 2^20 cycles.
+    """
     fig = "Figure 2" if scheduler == "credit" else "Figure 8"
     result = FigureResult(
-        fig, f"per-spinlock wait detail under {scheduler}")
+        fig, f"per-spinlock wait detail under {scheduler}", scatter=True)
     cells = {rate: single_vm_cell(_nas("LU", scale), scheduler,
                                   online_rate=rate, seed=seed,
                                   collect_scatter=True)
              for rate in PAPER_RATES}
-    results = run_cells(cells.values(), jobs=jobs, cache=cache)
+    results = run_cells(cells.values())
     for rate in PAPER_RATES:
         r = _single(results, cells[rate])
         label = f"rate_{RATE_LABELS[rate]}%"
         result.series[label] = [(float(i), w) for i, w in r.spin_scatter]
         result.notes[f"max_log2_{RATE_LABELS[rate]}"] = \
             r.spin_summary["max_log2"]
+    for label, points in result.series.items():
+        result.notes[f"n_{label}"] = float(len(points))
+        result.notes[f"tail_over_2^20_{label}"] = float(
+            sum(1 for _, w in points if w > 20.0))
     result.fingerprint = results.combined_fingerprint()
     return result
-
-
-def fig08_wait_details_asman(scale: float = 0.6, seed: int = 1,
-                             jobs: Jobs = None,
-                             cache: Optional[ResultCache] = None
-                             ) -> FigureResult:
-    """Fig 8: the Fig 2 scatter under ASMan."""
-    return fig02_wait_details("asman", scale, seed, jobs=jobs, cache=cache)
 
 
 # --------------------------------------------------------------------- #
 # Figure 7: LU run time, Credit vs ASMan
 # --------------------------------------------------------------------- #
-def fig07_lu_comparison(scale: float = 0.6,
-                        seeds: Sequence[int] = (1, 2, 3),
-                        jobs: Jobs = None,
-                        cache: Optional[ResultCache] = None) -> FigureResult:
+def fig07_lu_comparison(*, scale: float,
+                        seeds: Sequence[int]) -> FigureResult:
     """Fig 7: LU run time per online rate, Credit vs ASMan."""
     result = FigureResult("Figure 7",
                           "LU run time in VM V1: Credit vs ASMan")
@@ -220,8 +215,7 @@ def fig07_lu_comparison(scale: float = 0.6,
                                            online_rate=rate, seed=seed)
                             for seed in seeds]
             for sched in ("credit", "asman") for rate in PAPER_RATES}
-    results = run_cells([c for cells in grid.values() for c in cells],
-                        jobs=jobs, cache=cache)
+    results = run_cells([c for cells in grid.values() for c in cells])
     for sched in ("credit", "asman"):
         pts = []
         for rate in PAPER_RATES:
@@ -239,15 +233,12 @@ def fig07_lu_comparison(scale: float = 0.6,
 # --------------------------------------------------------------------- #
 # Figure 9: slowdowns of all NAS benchmarks
 # --------------------------------------------------------------------- #
-def fig09_nas_slowdowns(rates: Sequence[float] = (2 / 3, 0.4, 2 / 9),
-                        benchmarks: Optional[Sequence[str]] = None,
-                        scale: float = 0.4,
-                        seeds: Sequence[int] = (1, 2),
-                        jobs: Jobs = None,
-                        cache: Optional[ResultCache] = None) -> FigureResult:
+def fig09_nas_slowdowns(*, scale: float, seeds: Sequence[int],
+                        rates: Sequence[float] = (2 / 3, 0.4, 2 / 9)
+                        ) -> FigureResult:
     """Fig 9(a-c): per-benchmark slowdown at each reduced online rate for
     Credit and ASMan; Fig 9(d): the average slowdown."""
-    names = list(benchmarks or NAS_PROFILES)
+    names = list(NAS_PROFILES)
     result = FigureResult("Figure 9", "NAS benchmark slowdowns")
     base_cells = {name: [single_vm_cell(_nas(name, scale), "credit",
                                         online_rate=1.0, seed=seed)
@@ -259,7 +250,7 @@ def fig09_nas_slowdowns(rates: Sequence[float] = (2 / 3, 0.4, 2 / 9),
         for rate in rates for sched in ("credit", "asman") for name in names}
     batch = [c for cells in base_cells.values() for c in cells]
     batch += [c for cells in grid.values() for c in cells]
-    results = run_cells(batch, jobs=jobs, cache=cache)
+    results = run_cells(batch)
     bases = {name: _mean_runtime(results, base_cells[name])
              for name in names}
     averages: Dict[str, List[Tuple[float, float]]] = {
@@ -284,12 +275,10 @@ def fig09_nas_slowdowns(rates: Sequence[float] = (2 / 3, 0.4, 2 / 9),
 # --------------------------------------------------------------------- #
 # Figure 10: SPECjbb throughput
 # --------------------------------------------------------------------- #
-def fig10_specjbb(rates: Sequence[float] = (2 / 3, 0.4, 2 / 9),
-                  warehouses: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
-                  window_ms: float = 1500.0,
-                  seed: int = 1,
-                  jobs: Jobs = None,
-                  cache: Optional[ResultCache] = None) -> FigureResult:
+def fig10_specjbb(*, window_ms: float, seed: int,
+                  rates: Sequence[float] = (2 / 3, 0.4, 2 / 9),
+                  warehouses: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8)
+                  ) -> FigureResult:
     """Fig 10(a-c): throughput vs warehouses per rate; (d): the score
     (mean bops over warehouses >= 4)."""
     result = FigureResult("Figure 10", "SPECjbb2005 throughput (bops)")
@@ -298,7 +287,7 @@ def fig10_specjbb(rates: Sequence[float] = (2 / 3, 0.4, 2 / 9),
         window_cycles=units.ms(window_ms), seed=seed)
         for rate in rates for sched in ("credit", "asman")
         for w in warehouses}
-    results = run_cells(cells.values(), jobs=jobs, cache=cache)
+    results = run_cells(cells.values())
     scores: Dict[str, List[Tuple[float, float]]] = {
         "credit": [], "asman": []}
     for rate in rates:
@@ -355,12 +344,10 @@ COMBINATIONS: Dict[str, List[Tuple[str, str, str, str, bool]]] = {
 }
 
 
-def multi_vm_figure(combination: str, scale: float = 0.3,
-                    seeds: Sequence[int] = (1, 2),
+def multi_vm_figure(combination: str, *, scale: float,
+                    seeds: Sequence[int],
                     measure_rounds: int = 2,
-                    rounds: int = 40,
-                    jobs: Jobs = None,
-                    cache: Optional[ResultCache] = None) -> FigureResult:
+                    rounds: int = 40) -> FigureResult:
     """Figs 11-12: run one VM combination under Credit, ASMan and CON and
     report each VM's averaged round time (the paper's bar heights)."""
     combo = COMBINATIONS.get(combination)
@@ -379,7 +366,7 @@ def multi_vm_figure(combination: str, scale: float = 0.3,
         assignments, scheduler=sched, seed=seed,
         measure_rounds=measure_rounds, deadline_cycles=deadline)
         for sched in ("credit", "asman", "con") for seed in seeds}
-    results = run_cells(cells.values(), jobs=jobs, cache=cache)
+    results = run_cells(cells.values())
     for sched in ("credit", "asman", "con"):
         acc = {vm: 0.0 for vm, _, _, _, _ in combo}
         for seed in seeds:
@@ -398,21 +385,77 @@ def multi_vm_figure(combination: str, scale: float = 0.3,
     return result
 
 
-def fig11a(**kw) -> FigureResult:
-    """Fig 11(a): bzip2 + gcc + SP + LU on four VMs."""
-    return multi_vm_figure("fig11a", **kw)
+# --------------------------------------------------------------------- #
+# The registry: one definition per figure
+# --------------------------------------------------------------------- #
+class Figure(NamedTuple):
+    """One registry entry: the driver, the exact keyword arguments that
+    produce the committed ``benchmarks/results/<artifact>``, and that
+    file's name."""
+
+    driver: Callable[..., FigureResult]
+    kwargs: Mapping[str, object]
+    artifact: str
 
 
-def fig11b(**kw) -> FigureResult:
-    """Fig 11(b): LU + LU + SP + SP on four VMs."""
-    return multi_vm_figure("fig11b", **kw)
+FIGURES: Dict[str, Figure] = {
+    "fig01a": Figure(fig01_lu_runtime,
+                     {"scale": 0.6, "seeds": (1, 2)}, "fig1a.txt"),
+    "fig01b": Figure(fig01_spinlock_counts,
+                     {"scale": 0.6, "seeds": (1, 2, 3)}, "fig1b.txt"),
+    "fig02": Figure(fig02_wait_details,
+                    {"scheduler": "credit", "scale": 0.6, "seed": 1},
+                    "fig2.txt"),
+    "fig07": Figure(fig07_lu_comparison,
+                    {"scale": 0.6, "seeds": (1, 2, 3)}, "fig7.txt"),
+    "fig08": Figure(fig02_wait_details,
+                    {"scheduler": "asman", "scale": 0.6, "seed": 1},
+                    "fig8.txt"),
+    "fig09": Figure(fig09_nas_slowdowns,
+                    {"scale": 0.4, "seeds": (1, 2)}, "fig9.txt"),
+    "fig10": Figure(fig10_specjbb,
+                    {"window_ms": 1200.0, "seed": 1}, "fig10.txt"),
+    "fig11a": Figure(multi_vm_figure,
+                     {"combination": "fig11a", "scale": 0.3,
+                      "seeds": (1, 2, 3)}, "fig11a.txt"),
+    "fig11b": Figure(multi_vm_figure,
+                     {"combination": "fig11b", "scale": 0.3,
+                      "seeds": (1, 2, 3)}, "fig11b.txt"),
+    "fig12a": Figure(multi_vm_figure,
+                     {"combination": "fig12a", "scale": 0.25,
+                      "seeds": (1, 2)}, "fig12a.txt"),
+    "fig12b": Figure(multi_vm_figure,
+                     {"combination": "fig12b", "scale": 0.25,
+                      "seeds": (1, 2)}, "fig12b.txt"),
+}
 
 
-def fig12a(**kw) -> FigureResult:
-    """Fig 12(a): four throughput VMs + SP + LU."""
-    return multi_vm_figure("fig12a", **kw)
+def run_figure(name: str, scale: Optional[float] = None,
+               seeds: Optional[Sequence[int]] = None) -> FigureResult:
+    """Run registry entry ``name`` with its own keyword arguments.
 
-
-def fig12b(**kw) -> FigureResult:
-    """Fig 12(b): two throughput VMs + SP, SP, LU, LU."""
-    return multi_vm_figure("fig12b", **kw)
+    ``scale`` and ``seeds``, when given, replace the entry's values of
+    the same name; ``seeds`` sets a single-seed figure's ``seed`` when it
+    holds exactly one value.  Any other override raises
+    :class:`~repro.errors.ConfigurationError` naming the figure, rather
+    than being dropped.
+    """
+    entry = FIGURES.get(name)
+    if entry is None:
+        raise ConfigurationError(
+            f"unknown figure {name!r}; try: {' '.join(sorted(FIGURES))}")
+    kwargs = dict(entry.kwargs)
+    if scale is not None:
+        if "scale" not in kwargs:
+            raise ConfigurationError(
+                f"figure {name} has no scale to override")
+        kwargs["scale"] = scale
+    if seeds is not None:
+        if "seeds" in kwargs:
+            kwargs["seeds"] = tuple(seeds)
+        elif "seed" in kwargs and len(seeds) == 1:
+            kwargs["seed"] = seeds[0]
+        else:
+            raise ConfigurationError(
+                f"figure {name} runs one seed; give exactly one")
+    return entry.driver(**kwargs)

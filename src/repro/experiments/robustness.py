@@ -30,8 +30,7 @@ count and cache under the composed (cell, fault) key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.errors import ConfigurationError
@@ -39,13 +38,10 @@ from repro.experiments.runner import MultiVmResult, SingleVmResult
 from repro.faults import FaultSpec
 
 if TYPE_CHECKING:  # pragma: no cover - break the repro.parallel cycle
-    from repro.parallel.cache import ResultCache
     from repro.parallel.cells import CellSpec
 
 __all__ = ["FAULT_CLASSES", "QUICK_CLASSES", "RobustnessResult",
            "RobustnessRow", "robustness_report"]
-
-Jobs = Optional[Union[int, str]]
 
 #: The fault matrix: one representative spec per failure mode.  Rates
 #: and magnitudes are deliberately harsh — the point is to bracket the
@@ -157,9 +153,7 @@ def robustness_report(workload: str = "LU", scale: float = 0.6,
                       schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
                       classes: Optional[Sequence[str]] = None,
                       fairness: bool = True,
-                      fairness_scale: Optional[float] = None,
-                      jobs: Jobs = None,
-                      cache: Optional["ResultCache"] = None
+                      fairness_scale: Optional[float] = None
                       ) -> RobustnessResult:
     """Run the fault matrix and aggregate the degradation report.
 
@@ -193,7 +187,7 @@ def robustness_report(workload: str = "LU", scale: float = 0.6,
                     for seed in seeds]
     batch = [c for cells in single_grid.values() for c in cells]
     batch += [c for cells in multi_grid.values() for c in cells]
-    results = run_cells(batch, jobs=jobs, cache=cache)
+    results = run_cells(batch)
     # The matrix aggregates every cell; supervision failures (timeouts,
     # exhausted retries) must abort with a structured error rather than
     # average CellFailure placeholders into the degradation numbers.

@@ -278,6 +278,42 @@ class TestCliExitCodes:
         assert exc.value.code == 2
         assert "--seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["figure", "fig07", "--seeds", "-1"],
+        ["run", "--seed", "-1"],
+        ["sweep", "--seed", "-1"],
+        ["specjbb", "--seed", "-1"],
+        ["robustness", "--quick", "--seeds", "-1"],
+        ["conform", "--seed", "-1"],
+        ["chaos", "--seeds", "-1"],
+    ], ids=["figure", "run", "sweep", "specjbb", "robustness", "conform",
+            "chaos"])
+    def test_negative_seed_is_usage_error(self, command, capsys):
+        """A negative seed is rejected when parsed, before any cell runs
+        (it used to fail each cell after its retries, exit 3)."""
+        from repro import cli
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--no-cache", "--jobs", "1"])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_chaos_reference_failure_is_not_printed(self, tmp_path,
+                                                    monkeypatch, capsys):
+        """A failed clean reference raises before its fingerprint is
+        printed as the one the chaos phases must match."""
+        from repro import cli
+        from repro.parallel import supervisor
+
+        def fail(spec):
+            raise ValueError("cell failed")
+
+        monkeypatch.setattr(supervisor, "execute_cell", fail)
+        code = cli.main(["chaos", "--scale", "0.05", "--schedulers",
+                         "credit", "--retries", "0",
+                         "--cache-dir", str(tmp_path)])
+        assert code == 3
+        assert "clean serial reference" not in capsys.readouterr().out
+
     def test_zero_timeout_exits_2(self, tmp_path, capsys):
         from repro import cli
         code = cli.main(["chaos", "--cell-timeout", "0",

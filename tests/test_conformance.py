@@ -24,6 +24,7 @@ from repro.conformance.scenarios import SCALES, SINGLE_POOL
 from repro.conformance.shrink import (replay_artifact, save_artifact,
                                       shrink)
 from repro.errors import ConfigurationError
+from repro.parallel import RunContext, use_context
 from repro.parallel.cells import CellSpec, WorkloadSpec, from_canonical
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -85,17 +86,16 @@ class TestFuzzer:
 @pytest.mark.conformance
 class TestSmokeCorpus:
     def test_small_corpus_holds_and_is_deterministic(self):
-        first = conform(scenarios=15, jobs=1, cache=None,
-                        metamorphic_every=5)
+        with use_context(RunContext(jobs=1)):
+            first = conform(scenarios=15, metamorphic_every=5)
+            again = conform(scenarios=15, metamorphic_every=5)
         assert first.ok, "\n".join(v.render() for v in first.violations)
-        again = conform(scenarios=15, jobs=1, cache=None,
-                        metamorphic_every=5)
         assert first.fingerprints() == again.fingerprints()
         assert first.combined_fingerprint() == again.combined_fingerprint()
 
     def test_report_render_mentions_fingerprint(self):
-        report = conform(scenarios=3, jobs=1, cache=None,
-                         metamorphic_every=0)
+        with use_context(RunContext(jobs=1)):
+            report = conform(scenarios=3, metamorphic_every=0)
         text = report.render()
         assert report.combined_fingerprint() in text
         assert "3 scenario(s)" in text

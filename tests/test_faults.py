@@ -19,8 +19,8 @@ from repro.experiments.runner import run_single_vm
 from repro.experiments.setup import Testbed as SimTestbed
 from repro.experiments.setup import weight_for_rate
 from repro.faults import FaultInjector, FaultSpec, MONITOR_MODES
-from repro.parallel import (WorkloadSpec, result_fingerprint, run_cells,
-                            single_vm_cell)
+from repro.parallel import (RunContext, WorkloadSpec, result_fingerprint,
+                            run_cells, single_vm_cell, use_context)
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.tracing import TraceBus
@@ -252,10 +252,12 @@ class TestRobustnessReport:
         assert FAULT_CLASSES["none"].is_noop()
 
     def test_report_shape_and_baseline(self):
-        rep = robustness_report(workload="LU", scale=0.1, rate=RATE,
-                                seeds=(1,), schedulers=("credit", "asman"),
-                                classes=("none", "monitor_stuck_low"),
-                                fairness=False, jobs=1, cache=None)
+        with use_context(RunContext(jobs=1)):
+            rep = robustness_report(workload="LU", scale=0.1, rate=RATE,
+                                    seeds=(1,),
+                                    schedulers=("credit", "asman"),
+                                    classes=("none", "monitor_stuck_low"),
+                                    fairness=False)
         assert len(rep.rows) == 4
         assert rep.fingerprint
         for sched in ("credit", "asman"):
@@ -271,10 +273,10 @@ class TestRobustnessReport:
             robustness_report(classes=("no_such_class",))
 
     def test_render_mentions_every_row(self):
-        rep = robustness_report(workload="LU", scale=0.1, rate=RATE,
-                                seeds=(1,), schedulers=("credit",),
-                                classes=("none",), fairness=False,
-                                jobs=1, cache=None)
+        with use_context(RunContext(jobs=1)):
+            rep = robustness_report(workload="LU", scale=0.1, rate=RATE,
+                                    seeds=(1,), schedulers=("credit",),
+                                    classes=("none",), fairness=False)
         text = rep.render()
         assert "fault class" in text and "credit" in text
         assert "fingerprint" in text

@@ -398,10 +398,10 @@ class TestUnfinishedResults:
 class TestFigureDeterminism:
     def test_fig01a_serial_vs_parallel(self):
         from repro.experiments.figures import fig01_lu_runtime
-        serial = fig01_lu_runtime(scale=0.05, seeds=(1,), jobs=1,
-                                  cache=None)
-        parallel = fig01_lu_runtime(scale=0.05, seeds=(1,), jobs=4,
-                                    cache=None)
+        with use_context(RunContext(jobs=1)):
+            serial = fig01_lu_runtime(scale=0.05, seeds=(1,))
+        with use_context(RunContext(jobs=4)):
+            parallel = fig01_lu_runtime(scale=0.05, seeds=(1,))
         assert serial.series == parallel.series
         assert serial.fingerprint == parallel.fingerprint
         assert serial.fingerprint is not None

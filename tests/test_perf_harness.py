@@ -153,3 +153,19 @@ class TestBaselineCheck:
         write_baseline([result()], path, quick=True, calibration=1.0)
         doc = load_baseline(path)
         assert doc["meta"]["config"] == run_config()
+
+
+class TestCli:
+    @pytest.mark.parametrize("flag", [
+        ["--jobs", "2"], ["--no-cache"], ["--cache-dir", "x"],
+        ["--cell-timeout", "1"], ["--batch-deadline", "1"],
+        ["--retries", "1"], ["--resume"], ["--chaos", "kill_rate=0.5"],
+    ])
+    def test_fabric_flags_are_usage_errors(self, flag, capsys):
+        """No bench reads the run context, so ``perf`` takes no fabric
+        flag rather than accepting one and ignoring it."""
+        from repro import cli
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["perf", "--list", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
