@@ -4,11 +4,11 @@ Two planes, both guarding the same contract (bit-identical determinism
 and faithful scheduler mechanics):
 
 * ``python -m repro lint`` — one static checker over one package root:
-  :mod:`repro.analysis.simlint`'s per-file AST rules, then the
-  whole-program layer (:mod:`repro.analysis.engine` module indexing,
+  the whole-program layer (:mod:`repro.analysis.engine` module indexing,
   :mod:`repro.analysis.callgraph`, :mod:`repro.analysis.taint` forward
-  dataflow and the :mod:`repro.analysis.rules_interproc` RNG-provenance
-  / cycle-unit / transitive wall-clock rules), SARIF output
+  dataflow and the :mod:`repro.analysis.rules_interproc` wall-clock /
+  RNG-provenance / cycle-unit rules, one per determinism contract),
+  :mod:`repro.analysis.simlint`'s five AST rules, SARIF output
   (:mod:`repro.analysis.sarif`) and the ``analysis-baseline.json``
   suppression workflow.  Import those modules directly; this package
   does not load them, so simulation processes never pay for the linter.

@@ -61,7 +61,7 @@ class LocalTypes:
         self.types: Dict[str, str] = dict(finfo.param_types)
         if finfo.cls is not None:
             self.types.setdefault("self", finfo.cls)
-        for stmt in ast.walk(finfo.node):
+        for stmt in finfo.walk():
             if isinstance(stmt, ast.AnnAssign) \
                     and isinstance(stmt.target, ast.Name):
                 anno = project.resolve_annotation(mod, stmt.annotation)
@@ -140,16 +140,12 @@ class CallGraph:
     def callees_of(self, qname: str) -> Sequence[CallSite]:
         return self.edges.get(qname, ())
 
-    def reachable_externals(
-            self, start: str,
-            stop_rules: Optional[Set[str]] = None,
-    ) -> Dict[str, List[CallSite]]:
+    def reachable_externals(self, start: str) -> Dict[str, List[CallSite]]:
         """Map external callee -> shortest call-site chain from ``start``.
 
         The chain lists the internal hops in order, ending with the site
         of the external call itself.
         """
-        del stop_rules
         chains: Dict[str, List[CallSite]] = {}
         seen: Set[str] = {start}
         frontier: List[Tuple[str, List[CallSite]]] = [(start, [])]
@@ -175,7 +171,7 @@ def build_call_graph(project: Project) -> CallGraph:
     for qname, finfo in project.functions.items():
         mod = project.modules[finfo.module]
         local = LocalTypes(project, mod, finfo)
-        for node in ast.walk(finfo.node):
+        for node in finfo.walk():
             if isinstance(node, ast.Call):
                 for callee, external in _resolve_call(project, mod, local,
                                                       node):

@@ -1,15 +1,17 @@
 """Whole-program analysis engine for the reproduction (simlint v2).
 
-simlint's per-file AST rules (:mod:`repro.analysis.simlint`) cannot see a
-``time.time()`` reached through two helper calls, an unseeded generator
-laundered through a wrapper, or a millisecond value flowing into a
-cycle-denominated argument across a function boundary.  This module adds
-the missing substrate:
+An AST visitor cannot see a ``time.time()`` reached through two helper
+calls, an unseeded generator laundered through a wrapper, or a
+millisecond value flowing into a cycle-denominated argument across a
+function boundary.  This module adds the substrate the determinism rules
+need, for the direct case and the cross-call case alike:
 
 * :class:`Project` — a module indexer over one package tree: every file
   parsed once, imports resolved to fully-qualified names, classes,
   methods, base classes and instance-attribute types collected into a
-  queryable symbol table.
+  queryable symbol table.  Every function is indexed — methods, nested
+  functions (``outer.<locals>.inner``) and one ``<module>``
+  pseudo-function per module holding its top-level code.
 * a light type-inference layer (annotations, ``self.x = param``
   propagation, constructor assignments, ``Type[X]`` factory returns)
   that :mod:`repro.analysis.callgraph` uses for method resolution —
@@ -23,8 +25,9 @@ the missing substrate:
   budgeted and counted, stale entries are reported so the baseline can
   only shrink.
 
-The interprocedural rule families themselves live in
-:mod:`repro.analysis.rules_interproc`.  :func:`analyze` is the one lint
+The whole-program rules themselves live in
+:mod:`repro.analysis.rules_interproc`, the AST visitors in
+:mod:`repro.analysis.simlint`.  :func:`analyze` is the one lint
 entry point: ``python -m repro lint [ROOT]`` runs it over a package
 root, or over one file's enclosing package with reporting confined to
 that file (:func:`package_root`).
@@ -35,9 +38,11 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from repro.analysis import simlint
 from repro.analysis.simlint import Violation
@@ -63,6 +68,9 @@ FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 #: object itself (calling it constructs an X).
 _TYPE_OF = "type:"
 
+#: Name of each module's pseudo-function: the code at its top level.
+MODULE_SCOPE = "<module>"
+
 
 # --------------------------------------------------------------------- #
 # Symbol table dataclasses
@@ -78,10 +86,24 @@ class FunctionInfo:
     params: List[str] = field(default_factory=list)
     param_types: Dict[str, str] = field(default_factory=dict)
     return_type: Optional[str] = None
+    #: the module-body pseudo-function (``<module>``), not a real ``def``.
+    toplevel: bool = False
 
-    @property
-    def line(self) -> int:
-        return self.node.lineno
+    def walk(self) -> Iterator[ast.AST]:
+        """Every node of this function's code, breadth-first: the whole
+        ``def``, nested closures included (a caller reaches what its
+        closures reach); for the module pseudo-function, the top-level
+        code outside any ``def``."""
+        if not self.toplevel:
+            yield from ast.walk(self.node)
+            return
+        todo = deque([self.node])
+        while todo:
+            node = todo.popleft()
+            yield node
+            if node is self.node or not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                todo.extend(ast.iter_child_nodes(node))
 
 
 @dataclass
@@ -114,6 +136,9 @@ class ModuleInfo:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: module-level straight aliases (``X = SomeClass``).
     assigns: Dict[str, str] = field(default_factory=dict)
+    #: every import statement with the module it imports (``import a.b``
+    #: -> ``a.b``; ``from .x import y`` -> ``<package>.x``).
+    import_sites: List[Tuple[ast.stmt, str]] = field(default_factory=list)
 
 
 # --------------------------------------------------------------------- #
@@ -157,6 +182,8 @@ class Project:
                 name=modname, path=path, source=source, tree=tree)
         for mod in project.modules.values():
             project._index_module(mod)
+        for finfo in project.functions.values():
+            project._resolve_signature(project.modules[finfo.module], finfo)
         for mod in project.modules.values():
             project._resolve_types(mod)
         project._build_subclass_map()
@@ -171,10 +198,12 @@ class Project:
                     target = alias.name if alias.asname else \
                         alias.name.split(".")[0]
                     mod.imports[local] = target
+                    mod.import_sites.append((node, alias.name))
             elif isinstance(node, ast.ImportFrom):
                 base = self._import_base(mod, node)
                 if base is None:
                     continue
+                mod.import_sites.append((node, base))
                 for alias in node.names:
                     if alias.name == "*":
                         continue
@@ -182,28 +211,53 @@ class Project:
                     mod.imports[local] = f"{base}.{alias.name}"
         for stmt in mod.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info = FunctionInfo(
-                    qname=f"{mod.name}.{stmt.name}", module=mod.name,
-                    cls=None, node=stmt)
-                mod.functions[stmt.name] = info
-                self.functions[info.qname] = info
+                mod.functions[stmt.name] = self._add_function(
+                    mod, f"{mod.name}.{stmt.name}", None, stmt)
             elif isinstance(stmt, ast.ClassDef):
                 cinfo = ClassInfo(qname=f"{mod.name}.{stmt.name}",
                                   module=mod.name, node=stmt)
                 for item in stmt.body:
                     if isinstance(item, (ast.FunctionDef,
                                          ast.AsyncFunctionDef)):
-                        finfo = FunctionInfo(
-                            qname=f"{cinfo.qname}.{item.name}",
-                            module=mod.name, cls=cinfo.qname, node=item)
-                        cinfo.methods[item.name] = finfo
-                        self.functions[finfo.qname] = finfo
+                        cinfo.methods[item.name] = self._add_function(
+                            mod, f"{cinfo.qname}.{item.name}", cinfo.qname,
+                            item)
                 mod.classes[stmt.name] = cinfo
                 self.classes[cinfo.qname] = cinfo
             elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
                     and isinstance(stmt.targets[0], ast.Name) \
                     and isinstance(stmt.value, ast.Name):
                 mod.assigns[stmt.targets[0].id] = stmt.value.id
+        # The module body runs too (at import): index it as one more
+        # function, so every rule sees top-level code.
+        body = ast.FunctionDef(
+            name=MODULE_SCOPE, args=ast.arguments(
+                posonlyargs=[], args=[], vararg=None, kwonlyargs=[],
+                kw_defaults=[], kwarg=None, defaults=[]),
+            body=mod.tree.body, decorator_list=[], returns=None,
+            lineno=1, col_offset=0)
+        self._add_function(mod, f"{mod.name}.{MODULE_SCOPE}", None, body,
+                           toplevel=True)
+
+    def _add_function(self, mod: ModuleInfo, qname: str, cls: Optional[str],
+                      node: FunctionNode,
+                      toplevel: bool = False) -> FunctionInfo:
+        """Index one function and, recursively, the ``def``s nested in
+        it (``outer.<locals>.inner``)."""
+        earlier = self.functions.pop(qname, None)
+        if earlier is not None:
+            # A redefinition (property setter, sibling closures): the
+            # last keeps the name, as at runtime; every body is indexed.
+            earlier.qname = f"{qname}@{earlier.node.lineno}"
+            self.functions[earlier.qname] = earlier
+        info = FunctionInfo(qname=qname, module=mod.name, cls=cls,
+                            node=node, toplevel=toplevel)
+        self.functions[qname] = info
+        if not toplevel:
+            for inner in _nested_defs(node):
+                self._add_function(mod, f"{qname}.<locals>.{inner.name}",
+                                   None, inner)
+        return info
 
     def _import_base(self, mod: ModuleInfo,
                      node: ast.ImportFrom) -> Optional[str]:
@@ -284,8 +338,6 @@ class Project:
 
     # -- pass 2: types --------------------------------------------------- #
     def _resolve_types(self, mod: ModuleInfo) -> None:
-        for finfo in mod.functions.values():
-            self._resolve_signature(mod, finfo)
         for cinfo in mod.classes.values():
             for base in cinfo.node.bases:
                 dotted = _dotted_name(base)
@@ -299,8 +351,6 @@ class Project:
                     anno = self.resolve_annotation(mod, item.annotation)
                     if anno is not None:
                         cinfo.attr_types[item.target.id] = anno
-            for minfo in cinfo.methods.values():
-                self._resolve_signature(mod, minfo)
             for minfo in cinfo.methods.values():
                 self._collect_attr_types(mod, cinfo, minfo)
 
@@ -421,6 +471,18 @@ class Project:
             return str(path)
 
 
+def _nested_defs(fn: FunctionNode) -> Iterator[FunctionNode]:
+    """The ``def``s directly inside ``fn``'s body (not inside a deeper
+    ``def``; through class bodies and blocks), breadth-first."""
+    todo = deque(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.popleft()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+
+
 def _dotted_name(node: ast.expr) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: List[str] = []
@@ -438,8 +500,8 @@ def _dotted_name(node: ast.expr) -> Optional[str]:
 # --------------------------------------------------------------------- #
 @dataclass
 class AnalysisReport:
-    """Outcome of one whole-program lint run (per-file + interprocedural),
-    partitioned against the suppression baseline."""
+    """Outcome of one lint run, partitioned against the suppression
+    baseline."""
 
     violations: List[Violation]          #: everything found, pre-baseline
     files_checked: int
@@ -448,7 +510,6 @@ class AnalysisReport:
     new: List[Violation]                 #: not in the baseline -> fail
     grandfathered: List[Violation]       #: baselined, counted not fatal
     stale_baseline: List[Dict[str, object]]  #: entries that no longer match
-    interprocedural: bool = False
 
     @property
     def ok(self) -> bool:
@@ -568,10 +629,10 @@ def analyze(root: Union[str, Path],
             ) -> Tuple[AnalysisReport, Project, Dict[str, List[str]]]:
     """Run the whole-program analysis over one package tree.
 
-    Per-file simlint rules run on every indexed module (reusing the
-    engine's parse), then the interprocedural rule families from
+    The simlint AST rules run on every indexed module (reusing the
+    engine's parse), then the whole-program rules from
     :mod:`repro.analysis.rules_interproc` run over the project call
-    graph; inline pragmas waive findings of both families alike.
+    graph; inline pragmas waive findings of every rule alike.
     ``changed_files`` restricts *reporting* to those files (``--diff``
     mode) while the index and call graph still span the whole project —
     an interprocedural leak introduced by editing a helper is attributed
@@ -637,6 +698,5 @@ def analyze(root: Union[str, Path],
         violations=violations, files_checked=len(project.modules),
         pragmas_used=sum(waivers.values()),
         waivers_by_rule=dict(sorted(waivers.items())),
-        new=new, grandfathered=grandfathered, stale_baseline=stale,
-        interprocedural=bool(interproc_rules))
+        new=new, grandfathered=grandfathered, stale_baseline=stale)
     return report, project, sources

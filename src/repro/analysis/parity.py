@@ -2,8 +2,8 @@
 
 The project enforces its invariants on two independent planes:
 
-* **statically** — simlint's per-file rules and the interprocedural rule
-  families reject code that *could* break determinism before it runs;
+* **statically** — the ``repro lint`` rules reject code that *could*
+  break determinism before it runs;
 * **at runtime** — :class:`repro.analysis.sanitizer.SchedulerSanitizer`
   validates the scheduler's structural guarantees while it runs.
 
@@ -35,7 +35,7 @@ class Invariant:
 
     name: str
     description: str
-    #: simlint / interprocedural rule ids enforcing this statically.
+    #: ``repro lint`` rule ids enforcing this statically.
     static_rules: Tuple[str, ...] = ()
     #: :data:`RUNTIME_CHECKS` ids enforcing this at runtime.
     runtime_checks: Tuple[str, ...] = ()
@@ -48,7 +48,7 @@ INVARIANT_PARITY: Tuple[Invariant, ...] = (
     Invariant(
         name="simulated-clock-only",
         description="simulation code reads time only from sim.now",
-        static_rules=("wall-clock", "transitive-wall-clock"),
+        static_rules=("wall-clock",),
         asymmetry="a wall-clock read changes no scheduler structure, so "
                   "only the fingerprint gate could see it at runtime; "
                   "rejected statically instead",
@@ -57,7 +57,7 @@ INVARIANT_PARITY: Tuple[Invariant, ...] = (
         name="seeded-named-rng",
         description="all randomness flows through named, seeded "
                     "RngStreams streams, one subsystem per stream",
-        static_rules=("random-module", "rng-provenance"),
+        static_rules=("rng-provenance",),
         asymmetry="draw-sequence coupling is invisible to structural "
                   "runtime checks; enforced statically plus by the "
                   "bit-identical fingerprint gates",
@@ -66,8 +66,7 @@ INVARIANT_PARITY: Tuple[Invariant, ...] = (
         name="cycle-exact-time",
         description="event timestamps and op durations are integer "
                     "cycles, converted explicitly from wall units",
-        static_rules=("float-into-cycles", "silent-truncation",
-                      "cycle-unit-flow"),
+        static_rules=("cycle-unit-flow", "silent-truncation"),
         asymmetry="the event engine itself rejects fractional "
                   "timestamps at insert, which is the runtime half; "
                   "that guard lives in sim.engine, not the sanitizer",

@@ -1,11 +1,11 @@
 """SARIF 2.1.0 rendering for the whole-program lint report.
 
-One ``run`` per invocation: the tool driver advertises every active rule
-(per-file and interprocedural), each violation becomes a ``result`` with
-a physical location, the engine's content fingerprint rides in
-``partialFingerprints`` (so SARIF viewers dedupe across commits the same
-way the baseline does), and ``baselineState`` distinguishes ``new``
-findings from ``unchanged`` grandfathered ones.
+One ``run`` per invocation: the tool driver advertises every rule, each
+violation becomes a ``result`` with a physical location, the engine's
+content fingerprint rides in ``partialFingerprints`` (so SARIF viewers
+dedupe across commits the same way the baseline does), and
+``baselineState`` distinguishes ``new`` findings from ``unchanged``
+grandfathered ones.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
-from repro.analysis import simlint
 from repro.analysis.engine import AnalysisReport, Project, _fingerprints
 from repro.analysis.rules_interproc import ALL_RULES
 from repro.analysis.simlint import Violation
@@ -71,8 +70,6 @@ def render_sarif(report: AnalysisReport,
         uri = _artifact_uri(v.path, project)
         state = "new" if id(v) in new else "unchanged"
         results.append(_result(v, uri, fp, state))
-    # Every rule of the families that ran, findings or not.
-    rule_ids = ALL_RULES if report.interprocedural else simlint.RULES
     doc = {
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,
@@ -81,7 +78,7 @@ def render_sarif(report: AnalysisReport,
                 "driver": {
                     "name": TOOL_NAME,
                     "informationUri": TOOL_URI,
-                    "rules": _rule_descriptors(rule_ids),
+                    "rules": _rule_descriptors(ALL_RULES),
                 },
             },
             "columnKind": "unicodeCodePoints",
@@ -93,7 +90,6 @@ def render_sarif(report: AnalysisReport,
                     report.waivers_by_rule.items())),
                 "grandfathered": len(report.grandfathered),
                 "staleBaselineEntries": len(report.stale_baseline),
-                "interprocedural": report.interprocedural,
             },
         }],
     }

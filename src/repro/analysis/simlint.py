@@ -1,39 +1,32 @@
-"""simlint — sim-specific static analysis for the reproduction.
+"""simlint — the AST rules of ``repro lint``.
 
 The whole value of this codebase rests on two properties: **bit-identical
-determinism** (the perf harness's fingerprint gate) and **cycle-exact
-integer time** (the event engine refuses fractional timestamps).  Both are
-easy to break with ordinary-looking Python — a ``time.time()`` call in a
-trace label, a float division feeding ``sim.after``, iteration over a set
-whose order leaks into scheduling decisions.  simlint walks the AST of
-every source file and enforces the project's determinism contract the way
-a sanitizer enforces memory safety: mechanically, on every commit.
+determinism** (the figure fingerprints) and **cycle-exact integer time**
+(the event engine refuses fractional timestamps).  Both are easy to break
+with ordinary-looking Python — a ``time.time()`` call in a trace label, a
+float division feeding ``sim.after``, iteration over a set whose order
+leaks into scheduling decisions.  ``repro lint`` enforces the project's
+determinism contract the way a sanitizer enforces memory safety:
+mechanically, on every commit.
+
+This module holds what every rule shares — :class:`Violation`, the
+pragma escape hatch, the package scopes — and the five rules that are
+plain AST visitors.  The three determinism contracts that values and
+calls can carry across functions (``wall-clock``, ``rng-provenance``,
+``cycle-unit-flow``) live in :mod:`repro.analysis.rules_interproc`.
 
 Rules
 -----
 Rules are scoped.  *Simulation scope* covers the packages whose code runs
 inside the simulated world (``repro.sim``, ``repro.vmm``, ``repro.guest``,
-``repro.asman``, ``repro.hardware``); *hot-path scope* covers the modules
-whose classes are instantiated per-event (the Task/Event/TraceRecord
-tier); everything else applies package-wide.
+``repro.asman``, ``repro.hardware``, ``repro.faults``); *hot-path scope*
+covers the modules whose classes are instantiated per-event (the
+Task/Event/TraceRecord tier); everything else applies package-wide.
 
-``wall-clock``        [sim]  no ``time`` / ``datetime`` imports or calls —
-                             the simulated clock is ``sim.now``, wall time
-                             makes runs host-dependent.
-``random-module``     [sim]  no stdlib ``random``, no numpy legacy global
-                             RNG, no unseeded ``default_rng()`` — all
-                             randomness flows through named, seeded
-                             :class:`repro.sim.rng.RngStreams`.
 ``nondet-iter``       [sim]  no iteration over sets / ``vars()`` /
                              ``dir()`` / ``os.listdir`` results — their
                              order is not part of the language contract
                              and can differ across runs or versions.
-``float-into-cycles`` [sim]  no float literals or true division in the
-                             time arguments of ``sim.at/after/every`` or
-                             in cycle-denominated op constructors
-                             (``Compute``/``Sleep``/``Critical``); convert
-                             through :mod:`repro.units` producers or
-                             integerize explicitly.
 ``silent-truncation`` [sim]  no ``int(a / b)`` — truncating a true
                              division silently discards cycles; use
                              floor division.
@@ -50,7 +43,7 @@ Escape hatch
 Any violation can be waived in place with an inline pragma on the
 offending line::
 
-    jitter = base * 1.5  # simlint: ignore[float-into-cycles]
+    jitter = base * 1.5  # simlint: ignore[cycle-unit-flow]
 
 ``# simlint: ignore`` (no rule list) waives every rule on that line.
 Pragmas are deliberate, reviewable markers — the linter counts them in
@@ -58,13 +51,8 @@ its JSON report so a creeping pile of waivers is visible.
 
 Usage
 -----
-``python -m repro lint [ROOT]`` runs these rules together with the
-whole-program families through :func:`repro.analysis.engine.analyze`;
-:func:`lint_source` / :func:`lint_tree` check one snippet or parsed
-module::
-
-    from repro.analysis.simlint import lint_source
-    violations, pragmas_used = lint_source(src, sim_scope=True)
+``python -m repro lint [ROOT]`` runs every rule through
+:func:`repro.analysis.engine.analyze`, the one lint path.
 """
 
 from __future__ import annotations
@@ -72,26 +60,20 @@ from __future__ import annotations
 import ast
 import io
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
     "RULES",
     "Violation",
     "apply_pragmas",
     "check_tree",
-    "cycle_sink",
-    "lint_source",
-    "lint_tree",
 ]
 
 #: Rule id -> one-line description (the CLI's --list-rules output).
 RULES: Dict[str, str] = {
-    "wall-clock": "no wall-clock time sources in simulation code",
-    "random-module": "no stdlib random / unseeded or global numpy RNG",
     "nondet-iter": "no iteration over unordered collections",
-    "float-into-cycles": "no float arithmetic feeding cycle-valued args",
     "silent-truncation": "no int() around a true division",
     "mutable-default": "no mutable default arguments",
     "slots-required": "hot-path classes must declare __slots__",
@@ -121,28 +103,8 @@ HOT_MODULES: Set[Tuple[str, str]] = {
     ("hardware", "machine"),
 }
 
-_WALL_CLOCK_MODULES = {"time", "datetime"}
-_WALL_CLOCK_TIME_ATTRS = {
-    "time", "monotonic", "perf_counter", "process_time", "time_ns",
-    "monotonic_ns", "perf_counter_ns", "localtime", "gmtime",
-}
-_WALL_CLOCK_DT_ATTRS = {"now", "utcnow", "today"}
-#: numpy legacy global-state RNG entry points (np.random.<attr>).
-_NUMPY_LEGACY_RNG = {
-    "rand", "randn", "randint", "random", "random_sample", "ranf",
-    "sample", "choice", "shuffle", "permutation", "seed", "uniform",
-    "normal", "standard_normal", "exponential", "poisson", "bytes",
-}
 _UNORDERED_FACTORIES = {"set", "frozenset", "vars", "globals", "locals"}
 _LISTING_ATTRS = {"listdir", "scandir", "iterdir", "glob", "iglob"}
-#: Callables blessing a cycle argument (explicit, reviewable integerizing);
-#: the taint layer clears unit taint at the same names.
-_INTEGERIZERS = {"int", "round", "floor", "ceil", "len", "max", "min", "abs"}
-#: repro.units producers returning integer cycles.
-_UNITS_PRODUCERS = {"ms", "us", "seconds"}
-#: Op constructor -> index of its cycle-denominated argument
-#: (``Critical(lock, hold)``).
-_CYCLE_OP_ARGS = {"Compute": 0, "Sleep": 0, "Critical": 1}
 
 
 @dataclass(frozen=True)
@@ -201,7 +163,7 @@ def apply_pragmas(violations: Iterable[Violation], source: str,
 
     Each waived violation is counted under its rule in ``waivers`` (the
     audit trail behind ``--max-waivers``); the rest are returned in
-    order.  Per-file and interprocedural findings share this one rule.
+    order.  Every rule's findings share this one waiver rule.
     """
     pragmas = _parse_pragmas(source)
     kept: List[Violation] = []
@@ -212,142 +174,6 @@ def apply_pragmas(violations: Iterable[Violation], source: str,
         else:
             kept.append(v)
     return kept
-
-
-# --------------------------------------------------------------------- #
-# RNG import-alias tables (satellite of the random-module rule)
-# --------------------------------------------------------------------- #
-@dataclass
-class _RngAliases:
-    """Local names behind which RNG entry points can hide.
-
-    ``from random import random as _r`` and ``import numpy.random as
-    npr`` both defeat literal name matching; one pre-pass over the
-    import statements recovers the mapping so call checks work on
-    resolved origins.
-    """
-
-    #: aliases of the stdlib ``random`` module itself.
-    random_mods: Set[str] = field(default_factory=lambda: {"random"})
-    #: aliases of the ``numpy`` module.
-    np_mods: Set[str] = field(default_factory=lambda: {"np", "numpy"})
-    #: aliases of the ``numpy.random`` submodule.
-    np_random_mods: Set[str] = field(default_factory=set)
-    #: local name -> original ``random.<name>`` function.
-    random_funcs: Dict[str, str] = field(default_factory=dict)
-    #: local name -> original ``numpy.random.<name>`` function.
-    np_random_funcs: Dict[str, str] = field(default_factory=dict)
-
-
-def _collect_rng_aliases(tree: ast.Module) -> _RngAliases:
-    aliases = _RngAliases()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname
-                if alias.name == "random":
-                    aliases.random_mods.add(local or "random")
-                elif alias.name == "numpy":
-                    aliases.np_mods.add(local or "numpy")
-                elif alias.name == "numpy.random" and local:
-                    aliases.np_random_mods.add(local)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                local = alias.asname or alias.name
-                if node.module == "random":
-                    aliases.random_funcs[local] = alias.name
-                elif node.module == "numpy" and alias.name == "random":
-                    aliases.np_random_mods.add(local)
-                elif node.module == "numpy.random":
-                    aliases.np_random_funcs[local] = alias.name
-    return aliases
-
-
-# --------------------------------------------------------------------- #
-# Expression helpers
-# --------------------------------------------------------------------- #
-def _is_units_producer(call: ast.Call) -> bool:
-    """True for ``units.ms(...)`` / ``us`` / ``seconds`` (and bare names
-    imported from repro.units)."""
-    fn = call.func
-    if isinstance(fn, ast.Attribute) and fn.attr in _UNITS_PRODUCERS \
-            and isinstance(fn.value, ast.Name) and fn.value.id == "units":
-        return True
-    if isinstance(fn, ast.Name) and fn.id in _UNITS_PRODUCERS:
-        return True
-    return False
-
-
-def _is_integerizer(call: ast.Call) -> bool:
-    fn = call.func
-    if isinstance(fn, ast.Name) and fn.id in _INTEGERIZERS:
-        return True
-    if isinstance(fn, ast.Attribute) and fn.attr in ("floor", "ceil"):
-        return True
-    return False
-
-
-def _float_taint(expr: ast.expr) -> Optional[ast.expr]:
-    """Return the first node proving float arithmetic reaches ``expr``.
-
-    Subtrees wrapped in an explicit integerizer (``int``/``round``/
-    ``math.floor``...) or produced by a :mod:`repro.units` converter are
-    trusted: the conversion point is visible and auditable.
-    """
-    stack: List[ast.expr] = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Call):
-            if _is_units_producer(node) or _is_integerizer(node):
-                continue  # blessed boundary: don't look inside
-            stack.extend(node.args)
-            stack.extend(kw.value for kw in node.keywords)
-            continue
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            return node
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-            return node
-        stack.extend(ast.iter_child_nodes(node))  # type: ignore[arg-type]
-    return None
-
-
-def _looks_like_sim(receiver: ast.expr) -> bool:
-    """Heuristic: is this attribute receiver a Simulator handle?
-
-    Matches ``sim``, ``self.sim``, ``self._sim``, ``tb.sim`` — any name
-    or attribute whose final component is ``sim``/``_sim``.
-    """
-    if isinstance(receiver, ast.Name):
-        return receiver.id in ("sim", "_sim")
-    if isinstance(receiver, ast.Attribute):
-        return receiver.attr in ("sim", "_sim")
-    return False
-
-
-def cycle_sink(call: ast.Call,
-               is_sim: Callable[[ast.expr], bool] = _looks_like_sim
-               ) -> Optional[Tuple[str, List[ast.expr]]]:
-    """``(label, cycle-valued args)`` when ``call`` is a cycle sink.
-
-    The sinks are ``sim.at/after/every`` on a receiver ``is_sim``
-    accepts (first positional argument plus the time keywords) and the
-    cycle-denominated op constructors ``Compute``/``Sleep`` (first
-    argument) and ``Critical`` (the hold, index 1).  ``None`` for any
-    other call.  The per-file ``float-into-cycles`` rule and the taint
-    layer's ``cycle-unit-flow`` both decide sinks here; taint widens
-    ``is_sim`` with receivers typed as a ``Simulator``.
-    """
-    fn = call.func
-    if isinstance(fn, ast.Attribute) and fn.attr in ("at", "after", "every"):
-        if not is_sim(fn.value):
-            return None
-        return f"sim.{fn.attr}()", call.args[:1] + [
-            kw.value for kw in call.keywords
-            if kw.arg in ("time", "delay", "period", "start_offset")]
-    if isinstance(fn, ast.Name) and fn.id in _CYCLE_OP_ARGS:
-        idx = _CYCLE_OP_ARGS[fn.id]
-        return f"{fn.id}()", call.args[idx:idx + 1]
-    return None
 
 
 def _mutable_default(node: ast.expr) -> bool:
@@ -425,13 +251,11 @@ def _defines_slots(node: ast.ClassDef) -> bool:
 # --------------------------------------------------------------------- #
 class _Checker(ast.NodeVisitor):
     def __init__(self, path: str, sim_scope: bool, hot_module: bool,
-                 rules: Set[str],
-                 rng_aliases: Optional[_RngAliases] = None) -> None:
+                 rules: Set[str]) -> None:
         self.path = path
         self.sim_scope = sim_scope
         self.hot_module = hot_module
         self.rules = rules
-        self.rng = rng_aliases or _RngAliases()
         self.found: List[Violation] = []
         #: Names bound to set expressions in the current function.
         self._set_names: List[Set[str]] = []
@@ -447,129 +271,11 @@ class _Checker(ast.NodeVisitor):
             rule=rule,
             message=message))
 
-    # -- imports -------------------------------------------------------- #
-    def visit_Import(self, node: ast.Import) -> None:
-        if self.sim_scope:
-            for alias in node.names:
-                root = alias.name.split(".")[0]
-                if root in _WALL_CLOCK_MODULES:
-                    self._emit(node, "wall-clock",
-                               f"import of {alias.name!r}: simulation code "
-                               f"must use sim.now, not wall-clock time")
-                elif root == "random":
-                    self._emit(node, "random-module",
-                               "import of stdlib 'random': use seeded "
-                               "repro.sim.rng.RngStreams instead")
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if self.sim_scope and node.module:
-            root = node.module.split(".")[0]
-            if root in _WALL_CLOCK_MODULES:
-                self._emit(node, "wall-clock",
-                           f"import from {node.module!r}: simulation code "
-                           f"must use sim.now, not wall-clock time")
-            elif root == "random":
-                self._emit(node, "random-module",
-                           "import from stdlib 'random': use seeded "
-                           "repro.sim.rng.RngStreams instead")
-        self.generic_visit(node)
-
     # -- calls ---------------------------------------------------------- #
     def visit_Call(self, node: ast.Call) -> None:
         if self.sim_scope:
-            self._check_wall_clock_call(node)
-            self._check_random_call(node)
-            self._check_cycle_args(node)
             self._check_silent_truncation(node)
         self.generic_visit(node)
-
-    def _check_wall_clock_call(self, node: ast.Call) -> None:
-        fn = node.func
-        if not isinstance(fn, ast.Attribute):
-            return
-        base = fn.value
-        if isinstance(base, ast.Name) and base.id == "time" \
-                and fn.attr in _WALL_CLOCK_TIME_ATTRS:
-            self._emit(node, "wall-clock",
-                       f"time.{fn.attr}() in simulation code: the only "
-                       f"clock is sim.now")
-        elif isinstance(base, ast.Name) and base.id in ("datetime", "date") \
-                and fn.attr in _WALL_CLOCK_DT_ATTRS:
-            self._emit(node, "wall-clock",
-                       f"{base.id}.{fn.attr}() in simulation code: the "
-                       f"only clock is sim.now")
-
-    def _check_random_call(self, node: ast.Call) -> None:
-        fn = node.func
-        if isinstance(fn, ast.Name):
-            # Functions imported out of the RNG modules, possibly under
-            # an alias: ``from random import random as _r; _r()``.
-            orig = self.rng.random_funcs.get(fn.id)
-            if orig is not None:
-                self._emit(node, "random-module",
-                           f"{fn.id}() is stdlib random.{orig}: "
-                           f"process-global state; use a named "
-                           f"RngStreams stream")
-                return
-            orig = self.rng.np_random_funcs.get(fn.id)
-            if orig is not None:
-                if orig in _NUMPY_LEGACY_RNG:
-                    self._emit(node, "random-module",
-                               f"{fn.id}() is numpy.random.{orig}: legacy "
-                               f"global-state RNG; use a named RngStreams "
-                               f"stream")
-                elif orig == "default_rng" and not node.args \
-                        and not node.keywords:
-                    self._emit(node, "random-module",
-                               f"{fn.id}() is numpy.random.default_rng "
-                               f"without a seed: draws OS entropy; pass "
-                               f"an explicit seed")
-            return
-        if not isinstance(fn, ast.Attribute):
-            return
-        base = fn.value
-        # random.<anything>() — including ``import random as rnd``.
-        if isinstance(base, ast.Name) and base.id in self.rng.random_mods:
-            self._emit(node, "random-module",
-                       f"{base.id}.{fn.attr}(): stdlib RNG has "
-                       f"process-global state; use a named RngStreams "
-                       f"stream")
-            return
-        # np.random.<legacy>() — also through ``import numpy.random as
-        # npr`` / ``from numpy import random as nr``.
-        np_random = (
-            isinstance(base, ast.Attribute) and base.attr == "random"
-            and isinstance(base.value, ast.Name)
-            and base.value.id in self.rng.np_mods
-        ) or (isinstance(base, ast.Name)
-              and base.id in self.rng.np_random_mods)
-        if np_random:
-            if fn.attr in _NUMPY_LEGACY_RNG:
-                self._emit(node, "random-module",
-                           f"numpy.random.{fn.attr}(): legacy "
-                           f"global-state RNG; use a named RngStreams "
-                           f"stream")
-            elif fn.attr == "default_rng" and not node.args \
-                    and not node.keywords:
-                self._emit(node, "random-module",
-                           "numpy.random.default_rng() without a seed "
-                           "draws OS entropy; pass an explicit seed")
-
-    def _check_cycle_args(self, node: ast.Call) -> None:
-        sink = cycle_sink(node)
-        if sink is None:
-            return
-        where, cycle_args = sink
-        for arg in cycle_args:
-            taint = _float_taint(arg)
-            if taint is not None:
-                what = "float literal" \
-                    if isinstance(taint, ast.Constant) else "true division"
-                self._emit(arg, "float-into-cycles",
-                           f"{what} reaches the cycle argument of {where}; "
-                           f"convert via repro.units or integerize "
-                           f"explicitly")
 
     def _check_silent_truncation(self, node: ast.Call) -> None:
         fn = node.func
@@ -714,43 +420,12 @@ def _scope_of(path: Path, assume_sim: bool) -> Tuple[bool, bool]:
 def check_tree(tree: ast.Module, path: str = "<string>",
                sim_scope: bool = False, hot_module: bool = False,
                rules: Optional[Iterable[str]] = None) -> List[Violation]:
-    """Every per-file rule breach in an already-parsed module, before
+    """Every AST-rule breach in an already-parsed module, before
     pragma waivers (:func:`apply_pragmas` applies those)."""
     active = set(rules) if rules is not None else set(RULES)
     unknown = active - set(RULES)
     if unknown:
         raise ValueError(f"unknown simlint rule(s): {sorted(unknown)}")
-    checker = _Checker(path, sim_scope, hot_module, active,
-                       rng_aliases=_collect_rng_aliases(tree))
+    checker = _Checker(path, sim_scope, hot_module, active)
     checker.visit(tree)
     return checker.found
-
-
-def lint_tree(tree: ast.Module, source: str, path: str = "<string>",
-              sim_scope: bool = False, hot_module: bool = False,
-              rules: Optional[Iterable[str]] = None
-              ) -> Tuple[List[Violation], int, Dict[str, int]]:
-    """Lint an already-parsed module.
-
-    Returns ``(violations, pragmas_used, waivers_by_rule)``, violations
-    in ``(line, col, rule)`` order.
-    """
-    found = check_tree(tree, path=path, sim_scope=sim_scope,
-                       hot_module=hot_module, rules=rules)
-    per_rule: Dict[str, int] = {}
-    kept = apply_pragmas(
-        sorted(found, key=lambda v: (v.line, v.col, v.rule)), source,
-        per_rule)
-    return kept, sum(per_rule.values()), per_rule
-
-
-def lint_source(source: str, path: str = "<string>",
-                sim_scope: bool = False, hot_module: bool = False,
-                rules: Optional[Iterable[str]] = None
-                ) -> Tuple[List[Violation], int]:
-    """Lint one source string.  Returns (violations, pragmas_used)."""
-    tree = ast.parse(source, filename=path)
-    kept, used, _ = lint_tree(tree, source, path=path,
-                              sim_scope=sim_scope, hot_module=hot_module,
-                              rules=rules)
-    return kept, used

@@ -3,11 +3,12 @@
 Two value families are tracked through assignments, arithmetic, calls
 and returns:
 
-* **unit taint** — ``("float", src)`` for float-valued expressions
-  (literals, true division, float-returning helpers) and ``("ms", src)``
-  for wall-denominated values (``units.to_ms`` / ``units.to_seconds``
-  results).  ``src`` distinguishes ``"local"`` taint (visible to the
-  per-file rules) from ``"ret"`` taint that crossed a call boundary.
+* **unit taint** — ``("float", src)`` for float-valued expressions and
+  ``("ms", src)`` for wall-denominated values (``units.to_ms`` /
+  ``units.to_seconds`` results).  ``src`` says where the value arose:
+  a ``"literal"`` or a true ``"division"`` in this function, ``"local"``
+  for a wall-unit conversion here, or ``"ret"`` for a value that
+  crossed a call boundary.
 * **RNG provenance** — ``("stream", prefix)`` for generators obtained
   from :meth:`repro.sim.rng.RngStreams.get` (prefix = the stream name up
   to the first ``/``, ``"?"`` when dynamic), ``("seeded",)`` for ad-hoc
@@ -21,19 +22,20 @@ up (cycle sinks, RNG draws, the return value), and a small fixpoint
 iteration propagates summaries through wrappers so a leak laundered
 through two helper calls is still attributed to its concrete source.
 
-Conversion points are trusted boundaries, exactly like the per-file
-rules: ``units.ms/us/seconds``, ``int``/``round``/``math.floor``/
-``math.ceil`` and floor division all clear taint — the conversion is
-visible and auditable, which is the contract.
+Every function is evaluated, including nested ``def``s and each
+module's top-level code; lambda bodies and comprehensions are evaluated
+in the scope that holds them.  Conversion points are trusted boundaries:
+``units.ms/us/seconds``, ``int``/``round``/``math.floor``/``math.ceil``
+and floor division all clear taint — the conversion is visible and
+auditable, which is the contract.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis import simlint
 from repro.analysis.callgraph import LocalTypes
 from repro.analysis.engine import (FunctionInfo, ModuleInfo, Project,
                                    _dotted_name)
@@ -44,6 +46,7 @@ __all__ = [
     "TaintContext",
     "Tag",
     "compute_summaries",
+    "cycle_sink",
     "stream_prefix_of_arg",
 ]
 
@@ -58,6 +61,13 @@ DRAW_METHODS: Set[str] = {
 }
 
 _UNITS_WALL = {"to_ms", "to_seconds"}
+#: Callables blessing a cycle value (explicit, reviewable integerizing).
+_INTEGERIZERS = {"int", "round", "floor", "ceil", "len", "max", "min", "abs"}
+#: repro.units producers returning integer cycles.
+_UNITS_PRODUCERS = {"ms", "us", "seconds"}
+#: Op constructor -> index of its cycle-denominated argument
+#: (``Critical(lock, hold)``).
+_CYCLE_OP_ARGS = {"Compute": 0, "Sleep": 0, "Critical": 1}
 _GENERATOR_TYPE = "numpy.random.Generator"
 _STREAMS_CLASS = "RngStreams"
 
@@ -78,6 +88,43 @@ class Summary:
                 tuple(sorted(self.param_sink.items())),
                 tuple(sorted((i, tuple(sorted(m)))
                              for i, m in self.param_draw_modules.items())))
+
+
+def _looks_like_sim(receiver: ast.expr) -> bool:
+    """Heuristic: is this attribute receiver a Simulator handle?
+
+    Matches ``sim``, ``self.sim``, ``self._sim``, ``tb.sim`` — any name
+    or attribute whose final component is ``sim``/``_sim``.
+    """
+    if isinstance(receiver, ast.Name):
+        return receiver.id in ("sim", "_sim")
+    if isinstance(receiver, ast.Attribute):
+        return receiver.attr in ("sim", "_sim")
+    return False
+
+
+def cycle_sink(call: ast.Call, is_sim: Callable[[ast.expr], bool]
+               ) -> Optional[Tuple[str, List[ast.expr]]]:
+    """``(label, cycle-valued args)`` when ``call`` is a cycle sink.
+
+    The sinks are ``sim.at/after/every`` on a receiver ``is_sim``
+    accepts (first positional argument plus the time keywords) and the
+    cycle-denominated op constructors ``Compute``/``Sleep`` (first
+    argument) and ``Critical`` (the hold, index 1).  ``None`` for any
+    other call.  The evaluator's ``is_sim`` accepts receivers typed as a
+    ``Simulator`` or named like one (:func:`_looks_like_sim`).
+    """
+    fn = call.func
+    if isinstance(fn, ast.Attribute) and fn.attr in ("at", "after", "every"):
+        if not is_sim(fn.value):
+            return None
+        return f"sim.{fn.attr}()", call.args[:1] + [
+            kw.value for kw in call.keywords
+            if kw.arg in ("time", "delay", "period", "start_offset")]
+    if isinstance(fn, ast.Name) and fn.id in _CYCLE_OP_ARGS:
+        idx = _CYCLE_OP_ARGS[fn.id]
+        return f"{fn.id}()", call.args[idx:idx + 1]
+    return None
 
 
 def stream_prefix_of_arg(arg: Optional[ast.expr]) -> Optional[str]:
@@ -181,17 +228,16 @@ class FunctionEvaluator:
         if isinstance(stmt, ast.Assign):
             tags = self.eval(stmt.value)
             for t in stmt.targets:
-                if isinstance(t, ast.Name):
-                    self.env[t.id] = set(tags)
+                self._bind(t, tags)
         elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None and isinstance(stmt.target, ast.Name):
-                self.env[stmt.target.id] = set(self.eval(stmt.value))
+            if stmt.value is not None:
+                self._bind(stmt.target, self.eval(stmt.value))
         elif isinstance(stmt, ast.AugAssign):
+            tags = self.eval(stmt.value)
             if isinstance(stmt.target, ast.Name):
-                tags = self.eval(stmt.value)
                 merged = self.env.get(stmt.target.id, set()) | tags
                 if isinstance(stmt.op, ast.Div):
-                    merged.add(("float", "local"))
+                    merged.add(("float", "division"))
                 self.env[stmt.target.id] = merged
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
@@ -199,48 +245,40 @@ class FunctionEvaluator:
                     t for t in self.eval(stmt.value)
                     if t[0] in ("float", "ms", "param", "stream",
                                 "seeded", "unseeded")}
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value)
-        elif isinstance(stmt, (ast.If,)):
-            self.eval(stmt.test)
-            self._block(stmt.body)
-            self._block(stmt.orelse)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self.eval(stmt.iter)
-            self._block(stmt.body)
-            self._block(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self.eval(stmt.test)
-            self._block(stmt.body)
-            self._block(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self.eval(item.context_expr)
-            self._block(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self._block(stmt.body)
-            for handler in stmt.handlers:
-                self._block(handler.body)
-            self._block(stmt.orelse)
-            self._block(stmt.finalbody)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            pass          # nested scopes get their own FunctionInfo pass
-        elif isinstance(stmt, ast.Raise) and stmt.exc is not None:
-            self.eval(stmt.exc)
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            pass          # nested defs are functions of their own
+        else:
+            self._children(stmt)
+
+    def _children(self, node: ast.AST) -> None:
+        """Evaluate every expression and statement under ``node`` in
+        source order (blocks, handlers, ``with`` items, class bodies)."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                self.eval(child)
+            elif isinstance(child, ast.stmt):
+                self._stmt(child)
+            else:
+                self._children(child)
+
+    def _bind(self, target: ast.expr, tags: Set[Tag]) -> None:
+        if isinstance(target, ast.Name):
+            self.env[target.id] = set(tags)
+        else:
+            self.eval(target)
 
     # -- expression evaluation ------------------------------------------- #
     def eval(self, expr: ast.expr) -> Set[Tag]:
         if isinstance(expr, ast.Constant):
             if isinstance(expr.value, float):
-                return {("float", "local")}
+                return {("float", "literal")}
             return set()
         if isinstance(expr, ast.Name):
             return set(self.env.get(expr.id, set()))
         if isinstance(expr, ast.BinOp):
             tags = self.eval(expr.left) | self.eval(expr.right)
             if isinstance(expr.op, ast.Div):
-                tags.add(("float", "local"))
+                tags.add(("float", "division"))
             elif isinstance(expr.op, (ast.FloorDiv, ast.Mod,
                                       ast.LShift, ast.RShift)):
                 return set()      # integerizing boundary
@@ -259,21 +297,43 @@ class FunctionEvaluator:
             return self._eval_call(expr)
         if isinstance(expr, ast.Attribute):
             return self._eval_attribute(expr)
-        if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            for elt in expr.elts:
-                self.eval(elt)
-            return set()
-        if isinstance(expr, ast.Compare):
-            self.eval(expr.left)
-            for c in expr.comparators:
-                self.eval(c)
-            return set()
-        if isinstance(expr, ast.Subscript):
-            self.eval(expr.value)
-            return set()
         if isinstance(expr, ast.Starred):
             return self.eval(expr.value)
+        if isinstance(expr, ast.NamedExpr):
+            tags = self.eval(expr.value)
+            self._bind(expr.target, tags)
+            return tags
+        if isinstance(expr, (ast.Lambda, ast.ListComp, ast.SetComp,
+                             ast.GeneratorExp, ast.DictComp)):
+            self._inner_scope(expr)
+            return set()
+        self._children(expr)      # containers, comparisons, subscripts...
         return set()
+
+    def _inner_scope(self, expr: ast.expr) -> None:
+        """A lambda or comprehension body, with its own names unbound."""
+        saved = self.env
+        self.env = dict(saved)
+        if isinstance(expr, ast.Lambda):
+            self._children(expr.args)
+            args = expr.args
+            for a in args.posonlyargs + args.args + args.kwonlyargs \
+                    + [a for a in (args.vararg, args.kwarg) if a]:
+                self.env.pop(a.arg, None)
+            self.eval(expr.body)
+        else:
+            for gen in expr.generators:   # type: ignore[attr-defined]
+                self.eval(gen.iter)
+                for name in ast.walk(gen.target):
+                    if isinstance(name, ast.Name):
+                        self.env.pop(name.id, None)
+                for cond in gen.ifs:
+                    self.eval(cond)
+            for part in ("elt", "key", "value"):
+                node = getattr(expr, part, None)
+                if node is not None:
+                    self.eval(node)
+        self.env = saved
 
     def _eval_attribute(self, expr: ast.Attribute) -> Set[Tag]:
         # self.<attr> backed by a constructor parameter: carry an
@@ -308,6 +368,8 @@ class FunctionEvaluator:
     def _eval_call(self, call: ast.Call) -> Set[Tag]:
         fn = call.func
         arg_tags = [self.eval(a) for a in call.args]
+        recv_tags = self.eval(fn.value) if isinstance(fn, ast.Attribute) \
+            else set() if isinstance(fn, ast.Name) else self.eval(fn)
         kw_tags = {kw.arg: self.eval(kw.value) for kw in call.keywords
                    if kw.arg is not None}
         for kw in call.keywords:
@@ -321,11 +383,11 @@ class FunctionEvaluator:
             if dotted is not None else None
 
         # Conversion boundaries clear taint.
-        if name in simlint._INTEGERIZERS or qname == "sorted":
+        if name in _INTEGERIZERS or qname == "sorted":
             return set()
         if (qname or "").startswith("math."):
             return set()
-        if name in simlint._UNITS_PRODUCERS and (
+        if name in _UNITS_PRODUCERS and (
                 qname is None or qname.endswith(f"units.{name}")
                 or qname == name):
             return set()
@@ -361,7 +423,6 @@ class FunctionEvaluator:
 
         # Draws on generators.
         if isinstance(fn, ast.Attribute) and fn.attr in DRAW_METHODS:
-            recv_tags = self.eval(fn.value)
             recv_t = self.local.type_of_expr(fn.value)
             if recv_tags or recv_t == _GENERATOR_TYPE:
                 self._note_draw(call, recv_tags)
@@ -384,7 +445,9 @@ class FunctionEvaluator:
             return out
 
         self._check_direct_sink(call)
-        return set()
+        # An unresolved call may compute on its float arguments.
+        return {t for tags in [*arg_tags, *kw_tags.values()] for t in tags
+                if t[0] == "float"}
 
     def _note_draw(self, call: ast.Call, recv_tags: Set[Tag]) -> None:
         self.draws.append((call, set(recv_tags)))
@@ -496,7 +559,7 @@ class FunctionEvaluator:
 
     # -- cycle sinks ------------------------------------------------------ #
     def _check_direct_sink(self, call: ast.Call) -> None:
-        sink = simlint.cycle_sink(call, self._is_sim)
+        sink = cycle_sink(call, self._is_sim)
         if sink is None:
             return
         label, args = sink
@@ -517,7 +580,7 @@ class FunctionEvaluator:
         """A Simulator receiver: typed as one, or named like one."""
         recv_t = self.local.type_of_expr(receiver)
         return (recv_t is not None and recv_t.endswith(".Simulator")) \
-            or simlint._looks_like_sim(receiver)
+            or _looks_like_sim(receiver)
 
 
 def compute_summaries(project: Project,

@@ -17,8 +17,8 @@
   (``repro.conformance``): a fuzzed scenario corpus cross-checked under
   every scheduler by an invariant oracle, plus golden-trace comparison
   (``--golden check|update``) and failure-artifact replay (``--replay``);
-* ``lint`` — the simlint static checker (``repro.analysis``): sim-specific
-  determinism and cycle-unit rules, non-zero exit on violations.
+* ``lint`` — the simlint static checker (``repro.analysis``): the
+  determinism, cycle-unit and hygiene rules, non-zero exit on violations.
 
 The sim subcommands (``run``/``sweep``/``specjbb``) also accept
 ``--faults KEY=VALUE,...`` to inject a deterministic fault scenario into
@@ -65,8 +65,8 @@ from repro.metrics import ascii_plot
 from repro.metrics.export import figure_to_csv, figure_to_json, write_text
 from repro.metrics.report import Table
 from repro.metrics.runtime import ideal_slowdown
-from repro.workloads.nas import NAS_PROFILES, NasBenchmark
-from repro.workloads.speccpu import SPEC_CPU_PROFILES, SpecCpuRateWorkload
+from repro.workloads.nas import NAS_PROFILES
+from repro.workloads.speccpu import SPEC_CPU_PROFILES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel import RunContext
@@ -85,17 +85,6 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer seed, got {text!r}")
     return value
-
-
-def _workload_factory(name: str, scale: float):
-    if name.upper() in NAS_PROFILES:
-        return lambda: NasBenchmark.by_name(name.upper(), scale=scale)
-    if name in SPEC_CPU_PROFILES:
-        return lambda: SpecCpuRateWorkload.by_name(name, scale=scale)
-    raise SystemExit(
-        f"unknown workload {name!r}; choose a NAS benchmark "
-        f"({', '.join(NAS_PROFILES)}) or SPEC CPU "
-        f"({', '.join(SPEC_CPU_PROFILES)})")
 
 
 def _workload_spec(name: str, scale: float):
@@ -157,7 +146,12 @@ def cmd_figure(args) -> int:
     ``benchmarks/results/<artifact>`` of the figure's registry entry."""
     result = F.run_figure(args.name, scale=args.scale, seeds=args.seeds)
     print(result.render())
-    if args.plot:
+    if args.plot and result.scatter:
+        for name, points in result.series.items():
+            print()
+            print(ascii_plot.scatter(points,
+                                     title=f"{result.figure}: {name}"))
+    elif args.plot:
         line_series = {k: v for k, v in result.series.items()
                        if len(v) <= 64}
         if line_series:
@@ -175,8 +169,7 @@ def cmd_figure(args) -> int:
 def cmd_run(args) -> int:
     """``repro run``: one single-VM scenario (optionally verbose)."""
     if args.verbose:
-        return _run_verbose(args, _workload_factory(args.workload,
-                                                    args.scale))
+        return _run_verbose(args, _workload_spec(args.workload, args.scale))
     from repro.experiments.runner import SingleVmResult
     from repro.parallel import run_cells, single_vm_cell
     faults = _parse_faults(args.faults)
@@ -206,7 +199,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_verbose(args, factory) -> int:
+def _run_verbose(args, workload) -> int:
     """Single-VM run with guest introspection and a co-online summary."""
     from repro.config import SchedulerConfig
     from repro.experiments.setup import Testbed, weight_for_rate
@@ -218,7 +211,8 @@ def _run_verbose(args, factory) -> int:
                  faults=_parse_faults(args.faults))
     timeline = TimelineCollector(tb.trace, tb.sim)
     tb.add_domain0()
-    tb.add_vm("V1", weight=weight_for_rate(args.rate), workload=factory())
+    tb.add_vm("V1", weight=weight_for_rate(args.rate),
+              workload=workload.build())
     ok = tb.run_until_workloads_done(
         ["V1"], deadline_cycles=units.seconds(600))
     if not ok:
@@ -526,10 +520,10 @@ def _lint_emit(text: str, output) -> None:
 
 
 def cmd_lint(args) -> int:
-    """``repro lint [ROOT]``: simlint's per-file rules plus the
-    whole-program rule families (:func:`repro.analysis.engine.analyze`)
-    over one package root (default: the source tree), or over one
-    ``.py`` file's package with reporting confined to that file.
+    """``repro lint [ROOT]``: every simlint rule
+    (:func:`repro.analysis.engine.analyze`) over one package root
+    (default: the source tree), or over one ``.py`` file's package with
+    reporting confined to that file.
 
     New findings (not in the ``analysis-baseline.json`` suppression
     baseline) exit 1, as does a pragma waiver count above
@@ -594,7 +588,6 @@ def cmd_lint(args) -> int:
             "files_checked": report.files_checked,
             "pragmas_used": report.pragmas_used,
             "waivers_by_rule": report.waivers_by_rule,
-            "interprocedural": report.interprocedural,
             "ok": report.ok,
         }
         _lint_emit(_json.dumps(doc, indent=2, sort_keys=True),

@@ -25,7 +25,7 @@ from repro.hardware.machine import Machine
 from repro.metrics.runtime import RuntimeCollector
 from repro.metrics.spinlock_stats import SpinlockStats
 from repro.sim.engine import Simulator
-from repro.sim.fastforward import fastforward_enabled
+from repro.fastforward import fastforward_enabled
 from repro.sim.rng import RngStreams
 from repro.sim.tracing import TraceBus
 from repro.vmm.adaptive import AdaptiveScheduler

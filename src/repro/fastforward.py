@@ -33,9 +33,9 @@ from typing import Optional
 __all__ = ["fastforward_enabled", "set_fastforward"]
 
 # The escape hatch is sampled ONCE at import time: it selects behaviour
-# for the whole process, and keeping the read out of any function keeps
-# sim-scope call graphs free of environment access (the
-# transitive-wall-clock rule).  Runtime flips go through
+# for the whole process, like the rest of the host-side configuration
+# this module sits beside (``repro.config``), so simulation code only
+# ever reads the resulting flag.  Runtime flips go through
 # :func:`set_fastforward`.
 _ENV_DISABLED = os.environ.get("REPRO_NO_FASTFORWARD", "").strip().lower() \
     in ("1", "true", "yes", "on")

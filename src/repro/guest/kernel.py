@@ -48,7 +48,7 @@ from repro.guest.spinlock import SpinLock
 from repro.guest.task import (CONTINUE, WAIT, Activity, MicroStep, Task,
                               TaskState)
 from repro.sim.engine import Event, Simulator
-from repro.sim.fastforward import fastforward_enabled
+from repro.fastforward import fastforward_enabled
 from repro.sim.tracing import TraceBus
 from repro.vmm.vm import VCPU, VM
 

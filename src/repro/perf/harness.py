@@ -102,7 +102,7 @@ def run_config() -> Dict[str, bool]:
     regression (or masking a real one).
     """
     from repro import analysis
-    from repro.sim.fastforward import fastforward_enabled
+    from repro.fastforward import fastforward_enabled
 
     return {"sanitize": analysis.sanitize_enabled(),
             "fastforward": fastforward_enabled()}

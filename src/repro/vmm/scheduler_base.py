@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError, SchedulerInvariantError
 from repro.hardware.ipi import IPIFabric
 from repro.hardware.machine import Machine, PCPU
 from repro.sim.engine import Simulator
-from repro.sim.fastforward import fastforward_enabled
+from repro.fastforward import fastforward_enabled
 from repro.sim.tracing import TraceBus
 from repro.vmm.vm import VCPU, VM, VCPUState
 

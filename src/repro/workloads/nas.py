@@ -37,7 +37,7 @@ from repro import units
 from repro.errors import WorkloadError
 from repro.guest.kernel import GuestKernel
 from repro.guest.ops import BarrierOp, Compute, Critical, FlagSet, FlagWait, Op
-from repro.sim.fastforward import fastforward_enabled
+from repro.fastforward import fastforward_enabled
 from repro.workloads.base import JitteredStream, Workload, jittered
 
 #: Hold time of a modelled kernel critical section (~3.4 us — a futex

@@ -51,11 +51,11 @@ def swallows():
 
 def waived(sim):
     # The pragma escape hatch: this one must NOT be reported.
-    sim.after(2.5, lambda: None)  # simlint: ignore[float-into-cycles]
+    sim.after(2.5, lambda: None)  # simlint: ignore[cycle-unit-flow]
 
 
 # Aliased RNG imports: renaming the module or the function must not
-# defeat the random-module rule.  (Imports live down here so the line
+# defeat the rng-provenance rule.  (Imports live down here so the line
 # numbers of the cases above stay put.)
 import random as rnd
 import numpy.random as npr

@@ -143,6 +143,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "runtime:" in out
 
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_run_verbose_validates_the_workload(self, scale, capsys):
+        from repro.cli import main
+        assert main(["run", "--verbose", "--workload", "LU",
+                     "--scale", scale]) == 2
+        assert "workload scale must be positive" in capsys.readouterr().err
+
     def test_run_command_warm_cache_identical(self, tmp_path, capsys):
         from repro.cli import main
         argv = ["run", "--workload", "EP", "--scale", "0.05",

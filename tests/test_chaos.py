@@ -195,10 +195,13 @@ class TestDeterminismGate:
         clean = reference_fingerprints(specs)
         # Every non-final attempt stalls far past the cell budget; the
         # supervisor must kill the pool, charge the timeout, and let the
-        # spared final attempts finish.
+        # spared final attempts finish.  A cell's budget starts at
+        # submit, so after the rebuild it also pays for spawning the new
+        # pool: 3 s covers that on a loaded host, and the 60 s stall
+        # stays 20x past it.
         chaotic = run_supervised(
             specs, jobs=2, cache=ResultCache(tmp_path / "c"),
-            policy=SupervisorPolicy(cell_timeout_s=1.0, max_retries=1,
+            policy=SupervisorPolicy(cell_timeout_s=3.0, max_retries=1,
                                     backoff_base_ms=0.0),
             chaos=ChaosSpec(seed=5, stall_rate=1.0, stall_s=60.0))
         assert chaotic.ok

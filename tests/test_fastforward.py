@@ -36,20 +36,19 @@ import sys
 
 import pytest
 
-from repro import units
+from repro import fastforward, units
 from repro.config import (GuestConfig, MachineConfig, SchedulerConfig,
                           VMConfig)
 from repro.experiments.runner import run_multi_vm
 from repro.experiments.setup import Testbed as SimTestbed
 from repro.experiments.setup import weight_for_rate
+from repro.fastforward import fastforward_enabled, set_fastforward
 from repro.faults import FaultSpec
 from repro.guest.kernel import GuestKernel
 from repro.guest.ops import Compute, Critical, Sleep
 from repro.hardware.machine import Machine
 from repro.perf.harness import fingerprint_of
-from repro.sim import fastforward
 from repro.sim.engine import Simulator
-from repro.sim.fastforward import fastforward_enabled, set_fastforward
 from repro.sim.tracing import TraceBus
 from repro.vmm.credit import CreditScheduler, closed_form_burn
 from repro.workloads.nas import NasBenchmark
@@ -423,13 +422,13 @@ class TestEscapeHatch:
     def test_env_disables_in_subprocess(self):
         """End to end: a fresh interpreter with REPRO_NO_FASTFORWARD=1
         reports fast-forward off."""
-        src = pathlib.Path(fastforward.__file__).resolve().parents[2]
+        src = pathlib.Path(fastforward.__file__).resolve().parents[1]
         env = dict(os.environ)
         env["REPRO_NO_FASTFORWARD"] = "1"
         env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
         out = subprocess.run(
             [sys.executable, "-c",
-             "from repro.sim.fastforward import fastforward_enabled;"
+             "from repro.fastforward import fastforward_enabled;"
              "print(fastforward_enabled())"],
             env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"

@@ -10,6 +10,7 @@ import pytest
 
 from repro import cli
 from repro.experiments import figures as F
+from repro.metrics import ascii_plot
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" \
     / "results"
@@ -86,3 +87,18 @@ def test_scatter_figures_render_their_summary_only():
                             notes={"n_rate_100%": 2.0}, scatter=True)
     assert result.render().splitlines() == [
         "=== Figure 2: scatter", "notes: n_rate_100%=2.000"]
+
+
+def test_plot_draws_each_scatter_series(monkeypatch, capsys):
+    """Figures 2 and 8 hold raw per-event series: ``--plot`` draws each
+    as a scatter instead of skipping them as too long for a line plot."""
+    points = [(float(i), float(i % 7)) for i in range(100)]
+    stub = F.FigureResult("Figure 2", "stub", scatter=True,
+                          series={"rate_50%": points, "rate_100%": points})
+    monkeypatch.setitem(F.FIGURES, "fig02", F.FIGURES["fig02"]._replace(
+        driver=lambda **kwargs: stub))
+    assert cli.main(["figure", "fig02", "--no-cache", "--plot"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(stub.render() + "\n")
+    for name in stub.series:
+        assert ascii_plot.scatter(points, title=f"Figure 2: {name}") in out

@@ -53,10 +53,11 @@ class TestSeededFindings:
         ]
 
     def test_transitive_wall_clock_catches_all_three(self):
+        # The helpers' own direct calls sit in host-side metrics code.
         assert findings_in(WALLCLOCK) == [
-            ("repro/vmm/clock.py", 10, "transitive-wall-clock"),
-            ("repro/vmm/clock.py", 16, "transitive-wall-clock"),
-            ("repro/vmm/clock.py", 22, "transitive-wall-clock"),
+            ("repro/vmm/clock.py", 10, "wall-clock"),
+            ("repro/vmm/clock.py", 16, "wall-clock"),
+            ("repro/vmm/clock.py", 22, "wall-clock"),
         ]
 
     def test_cross_call_contamination_names_the_sink(self):
@@ -92,7 +93,7 @@ class TestSeededFindings:
 
     def test_rule_registry_is_three_families(self):
         assert set(INTERPROC_RULES) == {
-            "rng-provenance", "cycle-unit-flow", "transitive-wall-clock"}
+            "rng-provenance", "cycle-unit-flow", "wall-clock"}
 
 
 # --------------------------------------------------------------------- #

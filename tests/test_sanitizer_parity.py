@@ -5,9 +5,9 @@ additions fail loudly with an actionable message.
 
 from unittest import mock
 
-from repro.analysis import parity, simlint
+from repro.analysis import parity
 from repro.analysis.parity import INVARIANT_PARITY, Invariant, verify_parity
-from repro.analysis.rules_interproc import ALL_RULES, INTERPROC_RULES
+from repro.analysis.rules_interproc import ALL_RULES
 from repro.analysis.sanitizer import RUNTIME_CHECKS
 
 
@@ -17,7 +17,7 @@ class TestTableIsConsistent:
 
     def test_every_static_rule_is_claimed(self):
         claimed = {r for inv in INVARIANT_PARITY for r in inv.static_rules}
-        assert claimed == set(simlint.RULES) | set(INTERPROC_RULES)
+        assert claimed == set(ALL_RULES)
 
     def test_every_runtime_check_is_claimed(self):
         claimed = {c for inv in INVARIANT_PARITY

@@ -1,28 +1,46 @@
-"""simlint: every rule fires on a minimal positive case, stays quiet on
-the idiomatic negative case, and honours the pragma escape hatch."""
+"""repro lint rules: every rule fires on a minimal positive case, stays
+quiet on the idiomatic negative case, and honours the pragma escape
+hatch.  Snippets go through :func:`repro.analysis.engine.analyze`, the
+one lint path, as a module of a throwaway ``repro`` package."""
 
-import ast
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import simlint
 from repro.analysis.engine import analyze
+from repro.analysis.rules_interproc import ALL_RULES
 from repro.cli import main as cli_main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "simlint" / "violations.py"
 
 
+def lint(source, sim_scope=True, hot_module=False, rules=None):
+    """Lint a snippet as ``repro/vmm/snippet.py`` (sim scope),
+    ``repro/sim/engine.py`` (a hot-path module) or
+    ``repro/metrics/snippet.py`` (neither); return the report."""
+    sub, name = ("sim", "engine.py") if hot_module else \
+        ("vmm" if sim_scope else "metrics", "snippet.py")
+    with tempfile.TemporaryDirectory() as tmp:
+        pkg = Path(tmp) / "repro"
+        (pkg / sub).mkdir(parents=True)
+        (pkg / "__init__.py").write_text("", encoding="utf-8")
+        (pkg / sub / "__init__.py").write_text("", encoding="utf-8")
+        target = pkg / sub / name
+        target.write_text(source, encoding="utf-8")
+        report, _, _ = analyze(target, rules=rules)
+    return report
+
+
 def rules_in(source, **kwargs):
-    """Lint a snippet as sim-scoped code; return the set of rule ids hit."""
-    kwargs.setdefault("sim_scope", True)
-    found, _ = simlint.lint_source(source, **kwargs)
-    return {v.rule for v in found}
+    """The set of rule ids a snippet trips (sim-scoped by default)."""
+    return {v.rule for v in lint(source, **kwargs).violations}
 
 
 # --------------------------------------------------------------------- #
@@ -36,7 +54,10 @@ class TestWallClock:
         assert "wall-clock" in rules_in("from datetime import datetime\n")
 
     def test_call(self):
-        assert "wall-clock" in rules_in("x = time.perf_counter()\n")
+        found = lint("import time\nx = time.perf_counter()\n").violations
+        assert [(v.line, v.rule) for v in found] == [
+            (1, "wall-clock"), (2, "wall-clock")]
+        assert "time.perf_counter()" in found[1].message
 
     def test_out_of_scope_files_may_time(self):
         assert rules_in("import time\n", sim_scope=False) == set()
@@ -44,55 +65,65 @@ class TestWallClock:
 
 class TestRandomModule:
     def test_stdlib_import(self):
-        assert "random-module" in rules_in("import random\n")
+        assert "rng-provenance" in rules_in("import random\n")
 
     def test_stdlib_call(self):
-        assert "random-module" in rules_in("x = random.random()\n")
+        found = lint("import random\nx = random.random()\n").violations
+        assert [(v.line, v.rule) for v in found] == [
+            (1, "rng-provenance"), (2, "rng-provenance")]
 
     def test_numpy_legacy_global(self):
-        assert "random-module" in rules_in("x = np.random.randint(3)\n")
+        assert "rng-provenance" in rules_in(
+            "import numpy as np\nx = np.random.randint(3)\n")
 
     def test_unseeded_default_rng(self):
-        assert "random-module" in rules_in("g = np.random.default_rng()\n")
+        assert "rng-provenance" in rules_in(
+            "import numpy as np\ng = np.random.default_rng()\n")
 
     def test_seeded_default_rng_ok(self):
-        assert rules_in("g = np.random.default_rng(42)\n") == set()
+        # Out of sim scope a constant seed is fine; in it, the seed must
+        # come from RngStreams (the ad-hoc seeding case).
+        assert rules_in("import numpy as np\n"
+                        "g = np.random.default_rng(42)\n",
+                        sim_scope=False) == set()
 
     # -- aliased imports must not defeat detection ---------------------- #
     def test_stdlib_module_alias(self):
         src = "import random as rnd\nx = rnd.gauss(0, 1)\n"
-        found, _ = simlint.lint_source(src, sim_scope=True)
+        found = lint(src).violations
         # both the import and the aliased call are caught
-        assert [v.rule for v in found] == ["random-module", "random-module"]
-        assert "rnd.gauss()" in found[1].message
+        assert [v.rule for v in found] == ["rng-provenance",
+                                           "rng-provenance"]
+        assert "random.gauss()" in found[1].message
 
     def test_stdlib_function_alias(self):
         src = "from random import random as _r\nx = _r()\n"
-        found, _ = simlint.lint_source(src, sim_scope=True)
-        assert [v.rule for v in found] == ["random-module", "random-module"]
+        found = lint(src).violations
+        assert [v.rule for v in found] == ["rng-provenance",
+                                           "rng-provenance"]
         assert "random.random" in found[1].message
 
     def test_numpy_submodule_alias(self):
         src = "import numpy.random as npr\nx = npr.randint(3)\n"
-        found, _ = simlint.lint_source(src, sim_scope=True)
-        assert [v.rule for v in found] == ["random-module"]
+        found = lint(src).violations
+        assert [v.rule for v in found] == ["rng-provenance"]
         assert "numpy.random.randint()" in found[0].message
 
     def test_from_numpy_import_random(self):
         src = "from numpy import random as nr\ng = nr.default_rng()\n"
-        assert "random-module" in rules_in(src)
+        assert "rng-provenance" in rules_in(src)
 
     def test_aliased_unseeded_default_rng(self):
         src = "from numpy.random import default_rng\ng = default_rng()\n"
-        assert "random-module" in rules_in(src)
+        assert "rng-provenance" in rules_in(src)
 
     def test_aliased_seeded_default_rng_ok(self):
         src = "from numpy.random import default_rng\ng = default_rng(42)\n"
-        assert rules_in(src) == set()
+        assert rules_in(src, sim_scope=False) == set()
 
     def test_numpy_module_alias_legacy_global(self):
         src = "import numpy as xp\nx = xp.random.rand(3)\n"
-        assert "random-module" in rules_in(src)
+        assert "rng-provenance" in rules_in(src)
 
 
 class TestNondetIter:
@@ -130,13 +161,13 @@ class TestNondetIter:
 
 class TestFloatIntoCycles:
     def test_float_literal_in_after(self):
-        assert "float-into-cycles" in rules_in("sim.after(1.5, fn)\n")
+        assert "cycle-unit-flow" in rules_in("sim.after(1.5, fn)\n")
 
     def test_division_in_every(self):
-        assert "float-into-cycles" in rules_in("sim.every(n / 4, fn)\n")
+        assert "cycle-unit-flow" in rules_in("sim.every(n / 4, fn)\n")
 
     def test_self_sim_receiver(self):
-        assert "float-into-cycles" in rules_in("self.sim.at(0.5, fn)\n")
+        assert "cycle-unit-flow" in rules_in("self.sim.at(0.5, fn)\n")
 
     def test_units_producer_blessed(self):
         assert rules_in("sim.after(units.ms(0.5), fn)\n") == set()
@@ -148,10 +179,76 @@ class TestFloatIntoCycles:
         assert rules_in("sim.after(n // 4, fn)\n") == set()
 
     def test_cycle_op_constructor(self):
-        assert "float-into-cycles" in rules_in("ops.append(Compute(n / 2))\n")
+        assert "cycle-unit-flow" in rules_in("ops.append(Compute(n / 2))\n")
 
     def test_unrelated_receiver_ignored(self):
         assert rules_in("queue.after(1.5, fn)\n") == set()
+
+
+class TestSingleFunctionCases:
+    """The direct case of each whole-program rule: a chain of length one,
+    a value made in the same function, a closure, module-level code."""
+
+    def test_direct_env_and_uuid_calls(self):
+        src = ("import os\n"
+               "import uuid\n"
+               "def tuned():\n"
+               "    return os.environ.get('TUNE', '')\n"
+               "def tag():\n"
+               "    return uuid.uuid4()\n")
+        found = lint(src).violations
+        assert [(v.line, v.rule) for v in found] == [
+            (4, "wall-clock"), (6, "wall-clock")]
+        assert "os.environ.get()" in found[0].message
+
+    def test_float_through_a_local(self):
+        src = ("def arm(sim, f):\n"
+               "    delay = 1.5\n"
+               "    sim.after(delay, f)\n")
+        found = lint(src).violations
+        assert [(v.line, v.rule) for v in found] == [(3, "cycle-unit-flow")]
+        assert "float literal" in found[0].message
+
+    def test_ms_value_into_a_sink_inside_a_closure(self):
+        src = ("from repro import units\n"
+               "def outer(sim, c, f):\n"
+               "    def inner():\n"
+               "        sim.after(units.to_ms(c), f)\n"
+               "    return inner\n")
+        found = lint(src).violations
+        assert [(v.line, v.rule) for v in found] == [(4, "cycle-unit-flow")]
+        assert "millisecond-typed" in found[0].message
+
+    def test_module_level_wall_clock_call(self):
+        found = lint("import time\nSTARTED = time.time()\n").violations
+        assert [(v.line, v.rule) for v in found] == [
+            (1, "wall-clock"), (2, "wall-clock")]
+        assert "module-level code" in found[1].message
+
+    def test_lambda_and_comprehension_bodies(self):
+        src = ("def build(sim, f, xs):\n"
+               "    cb = lambda: sim.after(2.5, f)\n"
+               "    return cb, [Compute(x / 2) for x in xs]\n")
+        assert [(v.line, v.rule) for v in lint(src).violations] == [
+            (2, "cycle-unit-flow"), (3, "cycle-unit-flow")]
+
+    def test_every_redefinition_is_checked(self):
+        src = ("import os\n"
+               "class Knob:\n"
+               "    @property\n"
+               "    def level(self):\n"
+               "        return os.environ.get('LEVEL')\n"
+               "    @level.setter\n"
+               "    def level(self, value):\n"
+               "        self._level = value\n")
+        assert [(v.line, v.rule) for v in lint(src).violations] == [
+            (5, "wall-clock")]
+
+    def test_lambda_parameter_shadows_a_float_local(self):
+        src = ("def build(sim, f):\n"
+               "    delay = 1.5\n"
+               "    return lambda delay: sim.after(delay, f)\n")
+        assert rules_in(src) == set()
 
 
 class TestSilentTruncation:
@@ -234,46 +331,41 @@ class TestBareExcept:
 # --------------------------------------------------------------------- #
 class TestPragmas:
     def test_rule_specific_waiver(self):
-        src = "sim.after(1.5, fn)  # simlint: ignore[float-into-cycles]\n"
-        found, used = simlint.lint_source(src, sim_scope=True)
-        assert found == [] and used == 1
+        src = "sim.after(1.5, fn)  # simlint: ignore[cycle-unit-flow]\n"
+        report = lint(src)
+        assert report.violations == [] and report.pragmas_used == 1
 
     def test_blanket_waiver(self):
-        src = "import time  # simlint: ignore\n"
-        found, used = simlint.lint_source(src, sim_scope=True)
-        assert found == [] and used == 1
+        report = lint("import time  # simlint: ignore\n")
+        assert report.violations == [] and report.pragmas_used == 1
 
     def test_waiver_for_other_rule_does_not_apply(self):
         src = "import time  # simlint: ignore[mutable-default]\n"
-        found, _ = simlint.lint_source(src, sim_scope=True)
-        assert {v.rule for v in found} == {"wall-clock"}
+        assert rules_in(src) == {"wall-clock"}
 
     def test_waiver_on_other_line_does_not_apply(self):
         src = ("x = 1  # simlint: ignore\n"
                "import time\n")
-        found, _ = simlint.lint_source(src, sim_scope=True)
-        assert {v.rule for v in found} == {"wall-clock"}
+        assert rules_in(src) == {"wall-clock"}
 
     def test_waivers_counted_per_rule(self):
         src = ("import time  # simlint: ignore\n"
-               "sim.after(1.5, fn)  # simlint: ignore[float-into-cycles]\n"
-               "sim.after(2.5, fn)  # simlint: ignore[float-into-cycles]\n")
-        tree = ast.parse(src)
-        found, used, per_rule = simlint.lint_tree(
-            tree, src, path="<w>", sim_scope=True, hot_module=False,
-            rules=None)
-        assert found == [] and used == 3
-        assert per_rule == {"wall-clock": 1, "float-into-cycles": 2}
+               "sim.after(1.5, fn)  # simlint: ignore[cycle-unit-flow]\n"
+               "sim.after(2.5, fn)  # simlint: ignore[cycle-unit-flow]\n")
+        report = lint(src)
+        assert report.violations == [] and report.pragmas_used == 3
+        assert report.waivers_by_rule == {"cycle-unit-flow": 2,
+                                          "wall-clock": 1}
 
     def test_report_aggregates_waivers_by_rule(self):
         report, _, _ = analyze(FIXTURE, assume_sim=True)
-        assert report.waivers_by_rule == {"float-into-cycles": 1}
+        assert report.waivers_by_rule == {"cycle-unit-flow": 1}
 
     def test_json_render_includes_waivers_by_rule(self, capsys):
         cli_main(["lint", "--assume-sim", "--format", "json",
                   str(FIXTURE)])
         doc = json.loads(capsys.readouterr().out)
-        assert doc["waivers_by_rule"] == {"float-into-cycles": 1}
+        assert doc["waivers_by_rule"] == {"cycle-unit-flow": 1}
 
 
 # --------------------------------------------------------------------- #
@@ -294,20 +386,18 @@ class TestScoping:
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError, match="unknown simlint rule"):
-            simlint.lint_source("x = 1\n", rules=["no-such-rule"])
+            lint("x = 1\n", rules=["no-such-rule"])
 
     def test_rule_subset(self):
         src = "import time\nimport random\n"
-        found, _ = simlint.lint_source(src, sim_scope=True,
-                                       rules=["wall-clock"])
-        assert {v.rule for v in found} == {"wall-clock"}
+        assert rules_in(src, rules=["wall-clock"]) == {"wall-clock"}
 
 
 class TestDriversAndReporters:
     def test_fixture_trips_every_rule(self):
         report, _, _ = analyze(FIXTURE, assume_sim=True)
         hit = {v.rule for v in report.violations}
-        expected = set(simlint.RULES) - {"slots-required"}
+        expected = set(ALL_RULES) - {"slots-required"}
         assert expected <= hit
         assert report.pragmas_used == 1  # the waived() pragma
 
@@ -354,11 +444,18 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in simlint.RULES:
+        assert len(out.splitlines()) == len(ALL_RULES) == 8
+        for rule in ALL_RULES:
             assert rule in out
 
     def test_unknown_rule_is_usage_error(self, capsys):
         assert cli_main(["lint", "--rules", "bogus", str(FIXTURE)]) == 2
+
+    @pytest.mark.parametrize("retired", ["random-module",
+                                         "float-into-cycles",
+                                         "transitive-wall-clock"])
+    def test_retired_rule_id_is_usage_error(self, retired, capsys):
+        assert cli_main(["lint", "--rules", retired, str(FIXTURE)]) == 2
 
     def test_rule_subset_via_cli(self, capsys):
         code = cli_main(["lint", "--assume-sim", "--rules",
