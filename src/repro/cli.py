@@ -36,11 +36,12 @@ that is on by default — ``--no-cache`` disables it, ``--cache-dir``
 relocates it.  Results are bit-identical at any job count.
 
 Every fabric batch runs *supervised* (``repro.parallel.supervisor``):
-worker crashes rebuild the pool and re-dispatch only the lost cells,
-``--cell-timeout``/``--batch-deadline`` bound wall-clock budgets,
-``--retries`` bounds deterministic per-cell retry, and each completed
-cell is journaled so an interrupted ``sweep``/``conform`` re-run with
-``--resume`` re-executes only the missing cells.  ``--chaos
+a crashed or overrunning worker is respawned and costs only its own
+cell one attempt, ``--cell-timeout``/``--batch-deadline`` bound
+wall-clock budgets, ``--retries`` bounds deterministic per-cell retry,
+and each completed cell is journaled so an interrupted
+``sweep``/``conform`` re-run with ``--resume`` re-executes only the
+missing cells.  ``--chaos
 KEY=VALUE,...`` injects deterministic driver-level faults (worker kills,
 stalls, cache corruption — see ``repro chaos`` for the self-proving
 demo).  These options build one :class:`~repro.parallel.RunContext`,
@@ -401,7 +402,8 @@ def cmd_conform(args) -> int:
         first = next(v for v in report.verdicts if not v.ok)
         print(f"\nshrinking first failing scenario "
               f"#{first.scenario.index} ...")
-        result = shrink(first.scenario, schedulers)
+        result = shrink(first.scenario, schedulers, metamorphic=any(
+            v.check.startswith("metamorphic-") for v in first.violations))
         print(result.render())
         if args.artifact:
             path = save_artifact(result, args.artifact)
@@ -439,8 +441,7 @@ def cmd_chaos(args) -> int:
     policy = SupervisorPolicy(
         cell_timeout_s=args.cell_timeout,
         batch_deadline_s=args.batch_deadline,
-        max_retries=args.retries if args.retries is not None else 3,
-        max_pool_rebuilds=10)
+        max_retries=args.retries if args.retries is not None else 3)
 
     wl = _workload_spec(args.workload, args.scale)
     scheds = args.schedulers.split(",")
@@ -757,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
              "$REPRO_CACHE_DIR)")
     fabric_common.add_argument(
         "--cell-timeout", type=float, metavar="SECONDS", default=None,
-        help="wall-clock budget per cell attempt (pool mode; overruns "
+        help="wall-clock budget per cell attempt (--jobs > 1; overruns "
              "become structured timeout failures, not lost batches)")
     fabric_common.add_argument(
         "--batch-deadline", type=float, metavar="SECONDS", default=None,
@@ -1033,8 +1034,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         print(cache.describe(), file=sys.stderr)
     report = parallel.get_last_report()
     if report is not None and (report.retried or report.timeouts
-                               or report.pool_rebuilds or report.failures
-                               or report.resumed or report.degraded):
+                               or report.failures or report.resumed):
         print(report.describe(), file=sys.stderr)
     return int(status)
 

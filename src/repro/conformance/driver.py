@@ -3,8 +3,15 @@
 One :func:`conform` call is one corpus run: generate N scenarios, build
 every (scenario x scheduler) cell — plus the metamorphic twin cells for
 a strided subset — submit them as a *single* parallel-fabric batch
-(maximum pool utilisation, content-addressed caching), then judge each
+(maximum worker utilisation, content-addressed caching), then judge each
 scenario from the merged results.
+
+Every judging path goes through the same two steps:
+:func:`scenario_cells` builds one scenario's scheduler cells and twins,
+and :func:`judge_scenario` applies the oracle and the metamorphic
+relations to their results.  The shrinker and artifact replay run one
+scenario's cells as their own batch (:func:`check_scenario`), so a
+metamorphic violation shrinks and replays like any other.
 
 Determinism contract: the corpus is a pure function of (seed, count,
 schedulers, metamorphic stride).  Per-scenario fingerprints — and the
@@ -45,10 +52,11 @@ from repro.conformance.scenarios import (DEFAULT_SEED,
 from repro.errors import ConfigurationError
 from repro.experiments.runner import SingleVmResult
 from repro.faults.spec import FaultSpec
-from repro.parallel import run_cells
+from repro.parallel import RunContext, run_cells, use_context
 from repro.parallel.cells import CellSpec
 
-__all__ = ["ConformanceReport", "conform"]
+__all__ = ["ConformanceReport", "check_scenario", "conform",
+           "judge_scenario", "scenario_cells"]
 
 #: Tolerance on the degraded-slowdown relation for concurrent scenarios:
 #: a uniformly slower machine may reshuffle lock interleavings slightly,
@@ -139,38 +147,72 @@ def conform(scenarios: int = 200,
     # One batch: every scheduler cell plus the metamorphic twins.  Each
     # cell is built once; the same objects are submitted and looked up,
     # so each canonical key is computed once.
-    specs: List[CellSpec] = []
-    cells: Dict[int, Dict[str, CellSpec]] = {}
-    twins: Dict[int, Dict[str, CellSpec]] = {}
-    for sc in corpus:
-        cells[sc.index] = {sched: sc.cell(sched) for sched in schedulers}
-        specs.extend(cells[sc.index].values())
-        if metamorphic_every and sc.index % metamorphic_every == 0:
-            twins[sc.index] = _twin_cells(sc, cells[sc.index].get("credit"))
-            specs.extend(twins[sc.index].values())
-
-    results = run_cells(specs)
-    # Conformance verdicts need a real result for every cell; a batch
-    # that degraded into structured supervision failures cannot be
-    # judged and must fail loudly, not mis-judge CellFailure values.
-    results.raise_if_failed()
+    built = [scenario_cells(sc, schedulers, metamorphic=bool(
+        metamorphic_every and sc.index % metamorphic_every == 0))
+        for sc in corpus]
+    results = _run([spec for cells, twins in built
+                    for spec in (*cells.values(), *twins.values())])
     report.cells_run = len(results)
     report.cache_hits = results.cache_hits
-
-    for sc in corpus:
-        verdict = ScenarioVerdict(scenario=sc)
-        by_sched: Dict[str, object] = {}
-        for sched, spec in cells[sc.index].items():
-            outcome = results.outcome(spec)
-            by_sched[sched] = outcome.value
-            verdict.fingerprints[sched] = f"{outcome.fingerprint:016x}"
-        verdict.violations.extend(judge(sc, by_sched, roles=roles))
-        if sc.index in twins:
-            verdict.violations.extend(
-                _judge_twins(sc, twins[sc.index], results,
-                             cells[sc.index].get("credit")))
-        report.verdicts.append(verdict)
+    report.verdicts.extend(
+        judge_scenario(sc, cells, twins, results, roles)
+        for sc, (cells, twins) in zip(corpus, built))
     return report
+
+
+def scenario_cells(sc: Scenario, schedulers: Sequence[str],
+                   metamorphic: bool = True
+                   ) -> Tuple[Dict[str, CellSpec], Dict[str, CellSpec]]:
+    """One scenario's cells: scheduler -> cell, and its metamorphic twin
+    cells (none unless ``metamorphic``)."""
+    cells = {sched: sc.cell(sched) for sched in schedulers}
+    twins = _twin_cells(sc, cells.get("credit")) if metamorphic else {}
+    return cells, twins
+
+
+def judge_scenario(sc: Scenario, cells: Dict[str, CellSpec],
+                   twins: Dict[str, CellSpec], results: "CellResults",
+                   roles: Optional[Mapping[str, str]] = None
+                   ) -> ScenarioVerdict:
+    """Judge one scenario from the results of its :func:`scenario_cells`:
+    the oracle over the scheduler cells, then the metamorphic relations
+    over the twins."""
+    verdict = ScenarioVerdict(scenario=sc)
+    by_sched: Dict[str, object] = {}
+    for sched, spec in cells.items():
+        outcome = results.outcome(spec)
+        by_sched[sched] = outcome.value
+        verdict.fingerprints[sched] = f"{outcome.fingerprint:016x}"
+    verdict.violations.extend(judge(sc, by_sched, roles=roles))
+    if twins:
+        verdict.violations.extend(
+            _judge_twins(sc, twins, results, cells.get("credit")))
+    return verdict
+
+
+def check_scenario(sc: Scenario, schedulers: Sequence[str],
+                   roles: Optional[Mapping[str, str]] = None,
+                   metamorphic: bool = True) -> ScenarioVerdict:
+    """Run one scenario's cells (and twins, if ``metamorphic``) as their
+    own batch and judge them: the shrinker's probe and artifact replay.
+
+    The batch runs in-process and uncached: mutant schedulers are
+    process-local registrations that spawned workers cannot see, and a
+    probe's cells are a few small simulations.
+    """
+    cells, twins = scenario_cells(sc, schedulers, metamorphic)
+    with use_context(RunContext(jobs=1)):
+        results = _run([*cells.values(), *twins.values()])
+    return judge_scenario(sc, cells, twins, results, roles)
+
+
+def _run(specs: List[CellSpec]) -> "CellResults":
+    results = run_cells(specs)
+    # Conformance verdicts need a real result for every cell; a batch
+    # that ended in structured supervision failures cannot be judged
+    # and must fail loudly, not mis-judge CellFailure values.
+    results.raise_if_failed()
+    return results
 
 
 # --------------------------------------------------------------------- #

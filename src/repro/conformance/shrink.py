@@ -9,15 +9,18 @@ scheduler)`` pairs, and no new ones).  The signature guard matters: a
 naive "still fails somehow" predicate happily shrinks the deadline
 until *every* scheduler times out, which is a different bug.
 
-All probes run serially in-process (``jobs=1`` semantics): mutant
-schedulers are process-local registrations that spawn workers cannot
-see, and a shrink probe is a single small cell anyway.
+Each probe is judged by :func:`repro.conformance.driver.check_scenario`,
+the corpus's own per-scenario path: the scheduler cells, plus the
+metamorphic twin cells when the signature holds a metamorphic check,
+run serially in-process as one batch and judged by the oracle and the
+metamorphic relations.  A metamorphic violation therefore shrinks and
+replays like any other.
 
 The result serialises to a JSON artifact (``save_artifact``) built on
-``CellSpec.canonical()``; ``replay_artifact`` reconstructs the cell via
-:func:`repro.parallel.cells.from_canonical`, re-runs it and confirms
-the violation signature reproduces — the CLI exposes this as
-``python -m repro conform --replay artifact.json``.
+``CellSpec.canonical()``; ``replay_artifact`` reconstructs the scenario
+via :func:`repro.parallel.cells.from_canonical`, re-judges it the same
+way and confirms the violation signature reproduces — the CLI exposes
+this as ``python -m repro conform --replay artifact.json``.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
                     Set, Tuple, Union)
 
 from repro import units
-from repro.conformance.oracle import Violation, judge
+from repro.conformance.driver import check_scenario
+from repro.conformance.oracle import Violation
 from repro.conformance.scenarios import SCALES, Scenario
 from repro.errors import ConfigurationError
-from repro.parallel.cells import (CellSpec, WorkloadSpec, execute_cell,
-                                  from_canonical)
+from repro.parallel.cells import CellSpec, WorkloadSpec, from_canonical
 from repro.workloads.synthetic import SYNTH_PROFILES
 
 __all__ = [
@@ -121,10 +124,17 @@ class ReplayOutcome:
 def shrink(scenario: Scenario,
            schedulers: Sequence[str],
            roles: Optional[Mapping[str, str]] = None,
-           max_probes: int = 200) -> ShrinkResult:
-    """Minimise ``scenario`` while its violation signature is preserved."""
+           max_probes: int = 200,
+           metamorphic: bool = False) -> ShrinkResult:
+    """Minimise ``scenario`` while its violation signature is preserved.
+
+    ``metamorphic`` judges the scenario with its twin cells, as the
+    corpus does on its metamorphic stride; pass it when the violation
+    to shrink is a metamorphic one.
+    """
     roles_d = dict(roles or {})
-    signature = _signature_of(_judge_cell(scenario, schedulers, roles_d))
+    signature = _signature_of(check_scenario(
+        scenario, schedulers, roles_d, metamorphic).violations)
     if not signature:
         raise ConfigurationError(
             f"scenario #{scenario.index} does not violate the oracle — "
@@ -140,14 +150,16 @@ def shrink(scenario: Scenario,
             if result.probes >= max_probes:
                 break
             result.probes += 1
-            violations = _judge_cell(candidate, schedulers, roles_d)
+            violations = _judge_cell(candidate, schedulers, roles_d,
+                                     signature)
             if _signature_of(violations) == signature:
                 current = candidate
                 result.steps += 1
                 improved = True
                 break  # restart the ladder from the smallest transform
     result.minimized = current
-    result.violations = _judge_cell(current, schedulers, roles_d)
+    result.violations = _judge_cell(current, schedulers, roles_d,
+                                    signature)
     return result
 
 
@@ -156,10 +168,14 @@ def _signature_of(violations: Sequence[Violation]) -> _Signature:
 
 
 def _judge_cell(scenario: Scenario, schedulers: Sequence[str],
-                roles: Mapping[str, str]) -> List[Violation]:
-    results = {sched: execute_cell(scenario.cell(sched))
-               for sched in schedulers}
-    return judge(scenario, results, roles=roles)
+                roles: Mapping[str, str],
+                signature: _Signature) -> List[Violation]:
+    """Judge ``scenario``, with its twin cells iff ``signature`` holds a
+    metamorphic check."""
+    metamorphic = any(check.startswith("metamorphic-")
+                      for check, _ in signature)
+    return check_scenario(scenario, schedulers, roles,
+                          metamorphic).violations
 
 
 # --------------------------------------------------------------------- #
@@ -325,6 +341,7 @@ def replay_artifact(path: Union[str, Path]) -> ReplayOutcome:
         concurrent=bool(doc["concurrent"]),
         base=from_canonical(doc["minimized"]))
     expected: _Signature = {(c, s) for c, s in doc["signature"]}
-    violations = _judge_cell(scenario, schedulers, doc.get("roles") or {})
+    violations = _judge_cell(scenario, schedulers, doc.get("roles") or {},
+                             expected)
     return ReplayOutcome(scenario=scenario, expected=expected,
                         violations=violations)

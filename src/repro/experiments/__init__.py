@@ -12,7 +12,6 @@ from repro.experiments.runner import (
     SingleVmResult, MultiVmResult, SpecJbbResult, run_single_vm,
     run_multi_vm, run_specjbb, PAPER_RATES,
 )
-from repro.experiments.sweeps import Sweep, SweepResult
 from repro.experiments.calibration import CalibrationReport, calibrate
 from repro.experiments.robustness import (FAULT_CLASSES, RobustnessResult,
                                           robustness_report)
@@ -22,6 +21,6 @@ __all__ = [
     "SingleVmResult", "MultiVmResult", "SpecJbbResult",
     "run_single_vm", "run_multi_vm", "run_specjbb",
     "PAPER_RATES",
-    "Sweep", "SweepResult", "CalibrationReport", "calibrate",
+    "CalibrationReport", "calibrate",
     "FAULT_CLASSES", "RobustnessResult", "robustness_report",
 ]

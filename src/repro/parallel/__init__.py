@@ -1,11 +1,11 @@
 """repro.parallel — the parallel experiment fabric.
 
-Fans independent scenario cells out over a spawn-safe process pool and
+Fans independent scenario cells out over spawned worker processes and
 merges results deterministically, with a content-addressed on-disk result
 cache underneath.  Three ways in:
 
 * **Library**: build :class:`CellSpec` batches and call :func:`run_cells`
-  (the figure drivers and ``Sweep`` do this internally)::
+  (the figure drivers and the conformance corpus do this internally)::
 
       from repro.parallel import WorkloadSpec, run_cells, single_vm_cell
 
@@ -44,13 +44,11 @@ from repro.parallel.cells import (CellSpec, WorkloadSpec, canonical_value,
                                   specjbb_cell)
 from repro.parallel.chaos import ChaosSpec
 from repro.parallel.executor import (CellFailure, CellOutcome, CellResults,
-                                     RunContext, current_context, pool_map,
+                                     RunContext, current_context,
                                      resolve_jobs, use_context)
-from repro.parallel.supervisor import (BatchJournal,
-                                       SupervisorDegradedWarning,
-                                       SupervisorPolicy, SupervisorReport,
-                                       get_last_report, run_cells,
-                                       run_supervised)
+from repro.parallel.supervisor import (BatchJournal, SupervisorPolicy,
+                                       SupervisorReport, get_last_report,
+                                       run_cells, run_supervised)
 
 __all__ = [
     "BatchJournal",
@@ -63,7 +61,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ResultCache",
     "RunContext",
-    "SupervisorDegradedWarning",
     "SupervisorPolicy",
     "SupervisorReport",
     "WorkloadSpec",
@@ -73,7 +70,6 @@ __all__ = [
     "execute_cell",
     "get_last_report",
     "multi_vm_cell",
-    "pool_map",
     "resolve_jobs",
     "result_fingerprint",
     "run_cells",

@@ -8,8 +8,8 @@ boundary) nor hash (so their results cannot be cached).  A
 :class:`CellSpec` is the declarative replacement: plain frozen dataclasses
 that
 
-* **pickle** — so a :class:`~concurrent.futures.ProcessPoolExecutor`
-  worker can receive them under the spawn start method;
+* **pickle** — so a spawned worker process can receive them over its
+  pipe;
 * **canonicalise** — :meth:`CellSpec.canonical` renders a spec as one
   deterministic JSON string, which is both the merge key of a batch run
   and the input of the content-addressed cache key;
@@ -126,7 +126,7 @@ class CellSpec:
     #: Overrides the runner's scenario-default SchedulerConfig.
     sched_config: Optional[SchedulerConfig] = None
     #: "raise" (default) propagates SimulationError on deadline; "return"
-    #: yields a structured unfinished result instead (pool-friendly).
+    #: yields a structured unfinished result instead (worker-friendly).
     on_deadline: str = "raise"
     #: Fault-injection scenario (:mod:`repro.faults`); None or a no-op
     #: spec means the pristine system.  Part of the canonical form, so
@@ -356,7 +356,7 @@ def specjbb_cell(warehouses: int, scheduler: str = "credit",
 
 
 # --------------------------------------------------------------------- #
-# Execution (runs in pool workers — must stay module-level picklable)
+# Execution (runs in workers — must stay module-level picklable)
 # --------------------------------------------------------------------- #
 def execute_cell(spec: CellSpec):
     """Run one cell and return its (picklable) result dataclass."""

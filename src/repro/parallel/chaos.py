@@ -2,7 +2,7 @@
 
 Where :mod:`repro.faults` attacks the *simulated* system (hypercalls,
 IPIs, the Monitoring Module), this module attacks the *driver* layer
-that runs simulations: it kills pool workers mid-cell, stalls cells past
+that runs simulations: it kills workers mid-cell, stalls cells past
 their timeout, corrupts on-disk cache entries and poisons chosen cells —
 exactly the failures :mod:`repro.parallel.supervisor` exists to survive.
 The design mirrors :class:`~repro.faults.spec.FaultSpec`:
@@ -26,7 +26,7 @@ Surfaces: the ``repro chaos`` CLI subcommand (self-proving demo) and the
 ``--chaos KEY=VALUE,...`` option on every fabric subcommand.  The test
 suite's ``chaos_fabric`` fixture lives in ``tests/conftest.py``: this
 module never imports pytest, so neither a ``repro`` process nor a
-spawned pool worker pays for it.
+spawned worker pays for it.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class ChaosError(Exception):
 
 class ChaosKill(ChaosError):
     """The in-process translation of a worker kill: raised instead of
-    ``os._exit`` when the supervisor runs cells serially (degraded mode
-    or ``jobs=1``), where killing the process would kill the driver."""
+    ``os._exit`` when the supervisor runs cells serially (``jobs=1``),
+    where killing the process would kill the driver."""
 
 
 class ChaosPoisoned(ChaosError):
@@ -202,7 +202,7 @@ def chaos_draw(spec: ChaosSpec, site: str, key: str, attempt: int) -> float:
     """The deterministic uniform draw for one (site, cell, attempt).
 
     A pure function of ``(spec.seed, site, key, attempt)`` — independent
-    of dispatch order, pool timing, and every other stream in the
+    of dispatch order, worker timing, and every other stream in the
     system (the :mod:`repro.sim.rng` named-stream discipline, one level
     up from the simulation).
     """
@@ -220,8 +220,8 @@ def apply_worker_chaos(spec: ChaosSpec, key: str, attempt: int,
                        final: bool, in_process: bool) -> None:
     """Run the injection sites for one cell attempt, in order.
 
-    Called at the top of every dispatched attempt — inside the pool
-    worker normally, in the driver process when the supervisor executes
+    Called at the top of every dispatched attempt — inside the worker
+    normally, in the driver process when the supervisor executes
     serially (``in_process=True``, where a kill is translated into a
     :class:`ChaosKill` exception so the driver survives).
     """

@@ -1,4 +1,4 @@
-"""Run context, job resolution, pool plumbing and batch results.
+"""Run context, job resolution, worker environment and batch results.
 
 Every cell batch runs through :func:`repro.parallel.run_cells`, which
 *is* the supervised loop :func:`repro.parallel.supervisor.run_supervised`.
@@ -7,7 +7,8 @@ This module holds what that loop stands on:
 1. :class:`RunContext`, the one frozen bundle of run settings (worker
    count, result cache, supervision policy, resume, chaos) that a front
    end builds once and installs with ``with use_context(ctx):``;
-2. job resolution and the spawn-safe process pool (:func:`pool_map`);
+2. job resolution and the environment a spawned worker needs
+   (:func:`_child_environment`);
 3. :class:`CellResults`, one batch's results merged by canonical key.
 
 Determinism contract
@@ -31,16 +32,14 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
-                    Optional, Sequence, TypeVar, Union)
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional,
+                    Sequence, Union)
 
 from repro.errors import CellTimeoutError, ConfigurationError, ExecutionError
 from repro.parallel.cache import ResultCache
 from repro.parallel.cells import CellSpec
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
-
     from repro.parallel.chaos import ChaosSpec
     from repro.parallel.supervisor import SupervisorPolicy, SupervisorReport
 
@@ -50,15 +49,11 @@ __all__ = [
     "CellResults",
     "RunContext",
     "current_context",
-    "pool_map",
     "resolve_jobs",
     "use_context",
 ]
 
 _JOBS_ENV = "REPRO_JOBS"
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 def _coerce_jobs(jobs: Union[int, str]) -> int:
@@ -141,16 +136,16 @@ def resolve_jobs(jobs: Optional[Union[int, str]] = None) -> int:
 
 
 # --------------------------------------------------------------------- #
-# Pool plumbing
+# Worker environment
 # --------------------------------------------------------------------- #
 def _child_environment() -> None:
     """Make sure spawn children can ``import repro``.
 
     Spawned workers re-import everything from scratch; if ``repro`` was
     imported from a source checkout that is not on ``PYTHONPATH`` (e.g.
-    ``PYTHONPATH=src`` ran from the repo root but the pool is created
-    from another working directory), prepend its location so the child's
-    interpreter finds the same package the parent runs.
+    ``PYTHONPATH=src`` ran from the repo root but the workers are
+    spawned from another working directory), prepend its location so
+    the child's interpreter finds the same package the parent runs.
     """
     import repro
     pkg_dir = os.path.dirname(os.path.dirname(os.path.abspath(
@@ -159,40 +154,6 @@ def _child_environment() -> None:
     parts = [p for p in existing.split(os.pathsep) if p]
     if pkg_dir not in (os.path.abspath(p) for p in parts):
         os.environ["PYTHONPATH"] = os.pathsep.join([pkg_dir] + parts)
-
-
-def _make_pool(workers: int) -> ProcessPoolExecutor:
-    # Imported here, not at module top: the serial path (``--jobs 1``,
-    # every all-hit batch) never builds a pool and so never loads them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    _child_environment()
-    ctx = multiprocessing.get_context("spawn")
-    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-
-
-def pool_map(fn: Callable[[_T], _R], items: Sequence[_T],
-             jobs: Optional[Union[int, str]] = None) -> List[_R]:
-    """Order-preserving map over a process pool (serial when jobs==1).
-
-    ``fn`` and every item must pickle under the spawn start method when
-    ``jobs > 1`` — module-level functions and plain data qualify,
-    closures do not.
-    """
-    workers = min(resolve_jobs(jobs), max(1, len(items)))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    pool = _make_pool(workers)
-    try:
-        result = list(pool.map(fn, items))
-    except BaseException:
-        # KeyboardInterrupt (or any other abort) must not leak the
-        # executor: cancel queued work, drop the workers without
-        # blocking on in-flight cells, and re-raise cleanly.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
-    return result
 
 
 # --------------------------------------------------------------------- #

@@ -1,25 +1,31 @@
-"""Supervised execution: crash-recovery, retry, timeouts, journaled resume.
+"""Supervised execution: worker slots, retry, timeouts, journaled resume.
 
 :func:`run_supervised` — exported as :func:`repro.parallel.run_cells`,
 the one way a batch runs — executes cells cache-first in a supervision
 loop that makes a multi-cell batch *survivable* without perturbing its
 results:
 
-* **Timeouts** — a per-cell wall-clock budget (``cell_timeout_s``) and a
-  whole-batch deadline (``batch_deadline_s``).  A cell that overruns is
-  recorded as a structured :class:`CellFailure` outcome, never an
-  exception that loses the batch.  (Per-cell timeouts are enforceable
-  only in pool mode — a serial in-process cell cannot be interrupted.)
-* **Crash recovery** — a dead worker (OOM kill, segfault, injected
-  ``os._exit``) breaks the :class:`~concurrent.futures.ProcessPoolExecutor`;
-  the supervisor rebuilds the pool and re-dispatches only the cells whose
-  results were lost.  Pool-break re-dispatches are governed by the
-  *pool-level* ``max_pool_rebuilds`` budget, not the per-cell retry
-  budget: a worker death does not identify a guilty cell, so innocent
-  in-flight cells are never charged for it.
-* **Deterministic retry** — error and timeout retries are bounded by
-  ``max_retries`` per cell, with backoff delays derived from the cell key
-  through the :mod:`repro.sim.rng` named-stream discipline
+* **Worker slots** — ``jobs > 1`` runs the batch on ``jobs`` spawned
+  worker processes, each with one pipe and at most one cell at a time.
+  The supervisor owns every slot, so it can stop one worker without
+  touching the others.
+* **Timeouts** — a per-cell wall-clock budget (``cell_timeout_s``) that
+  starts when the cell is sent to a ready worker, and a whole-batch
+  deadline (``batch_deadline_s``).  A cell that overruns has its own
+  worker terminated and respawned, and is charged one ``timeout``
+  attempt; no other in-flight cell loses its attempt.  A cell that runs
+  out of attempts is recorded as a structured :class:`CellFailure`
+  outcome, never an exception that loses the batch.  (Per-cell timeouts
+  are enforceable only with worker slots — a serial in-process cell
+  cannot be interrupted.)
+* **Crash recovery** — a worker that dies mid-cell (OOM kill, segfault,
+  injected ``os._exit``) charges *its own* cell one ``crash`` attempt,
+  exactly as an in-process :class:`~repro.parallel.chaos.ChaosKill`
+  does, and its slot is respawned.  The per-cell retry budget therefore
+  bounds crash loops too.
+* **Deterministic retry** — error, crash and timeout retries are bounded
+  by ``max_retries`` per cell, with backoff delays derived from the cell
+  key through the :mod:`repro.sim.rng` named-stream discipline
   (``supervisor/backoff/<cell>/<attempt>``) — no wall-clock randomness,
   so ``repro lint`` stays clean.
 * **Journaled resume** — every completed cell is appended (atomically,
@@ -27,10 +33,10 @@ results:
   interrupted sweep re-run with ``resume=True`` re-executes only the
   cells that never completed.  Torn trailing lines (the writer died
   mid-append) are skipped on replay.
-* **Graceful degradation** — once the rebuild budget is exhausted the
-  supervisor falls back to in-process serial execution with a loud
-  :class:`SupervisorDegradedWarning`, so a batch always runs to
-  completion and reports structured failures instead of dying.
+
+No worker outlives :func:`run_supervised`: at the end of a batch each
+is sent a stop message and joined, and on any abort (``SIGINT``) each is
+terminated and joined before the exception propagates.
 
 The determinism contract of the fabric is unchanged: supervision decides
 *when and where* a cell runs, never *what it computes* — a supervised run
@@ -46,30 +52,29 @@ import heapq
 import json
 import os
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, Iterable, List,
                     Optional, Tuple, Union)
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.parallel import chaos as chaos_mod
 from repro.parallel.cache import ResultCache
 from repro.parallel.cells import CellSpec, execute_cell, result_fingerprint
 from repro.parallel.chaos import ChaosKill, ChaosSpec, cell_digest
 from repro.parallel.executor import (CellFailure, CellOutcome, CellResults,
-                                     _make_pool, current_context,
+                                     _child_environment, current_context,
                                      resolve_jobs)
 from repro.sim.rng import RngStreams
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future, ProcessPoolExecutor
+    from multiprocessing.connection import Connection
+    from multiprocessing.context import SpawnContext, SpawnProcess
 
 __all__ = [
     "BatchJournal",
     "CellFailure",
-    "SupervisorDegradedWarning",
     "SupervisorPolicy",
     "SupervisorReport",
     "backoff_ms",
@@ -86,31 +91,24 @@ JOURNAL_DIR = "journal"
 _sleep = time.sleep
 
 
-class SupervisorDegradedWarning(UserWarning):
-    """The pool-rebuild budget ran out; the batch fell back to serial."""
-
-
 @dataclass(frozen=True)
 class SupervisorPolicy:
     """Supervision parameters for one batch (all deterministic inputs).
 
-    The default policy supervises *lightly*: no timeouts, two retries,
-    three pool rebuilds.  ``None`` timeouts mean unlimited — explicitly
-    setting a timeout of zero (or negative) is rejected rather than
-    silently meaning "fail everything instantly".
+    The default policy supervises *lightly*: no timeouts, two retries.
+    ``None`` timeouts mean unlimited — explicitly setting a timeout of
+    zero (or negative) is rejected rather than silently meaning "fail
+    everything instantly".
     """
 
-    #: Wall-clock budget for one cell attempt (pool mode only).
+    #: Wall-clock budget for one cell attempt (worker slots only).
     cell_timeout_s: Optional[float] = None
     #: Wall-clock budget for the whole batch; cells that cannot start or
     #: finish inside it become structured timeout failures.
     batch_deadline_s: Optional[float] = None
-    #: Failed attempts (errors, timeouts) allowed per cell *beyond* the
-    #: first: a cell runs at most ``max_retries + 1`` times.
+    #: Failed attempts (errors, crashes, timeouts) allowed per cell
+    #: *beyond* the first: a cell runs at most ``max_retries + 1`` times.
     max_retries: int = 2
-    #: Pool reconstructions after worker deaths before degrading to
-    #: in-process serial execution.
-    max_pool_rebuilds: int = 3
     #: Retry backoff: base delay, doubled per failed attempt, jittered
     #: by a deterministic per-cell draw, capped.
     backoff_base_ms: float = 25.0
@@ -128,10 +126,6 @@ class SupervisorPolicy:
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if self.max_pool_rebuilds < 0:
-            raise ConfigurationError(
-                f"max_pool_rebuilds must be >= 0, "
-                f"got {self.max_pool_rebuilds}")
         if self.backoff_base_ms < 0 or self.backoff_cap_ms < 0:
             raise ConfigurationError("backoff delays must be >= 0")
 
@@ -146,8 +140,6 @@ class SupervisorReport:
     executed: int = 0
     retried: int = 0
     timeouts: int = 0
-    pool_rebuilds: int = 0
-    degraded: bool = False
     corrupt_injected: int = 0
     failures: List[CellFailure] = field(default_factory=list)
 
@@ -155,12 +147,9 @@ class SupervisorReport:
         text = (f"supervisor: {self.total} cell(s), {self.cached} cached, "
                 f"{self.executed} executed, {self.retried} retried, "
                 f"{self.timeouts} timeout(s), "
-                f"{self.pool_rebuilds} pool rebuild(s), "
                 f"{len(self.failures)} failure(s)")
         if self.resumed:
             text += f", {self.resumed} resumed"
-        if self.degraded:
-            text += ", DEGRADED to serial"
         return text
 
 
@@ -260,22 +249,87 @@ class BatchJournal:
 
 
 # --------------------------------------------------------------------- #
-# Worker-side dispatch (module-level: must pickle under spawn)
+# Worker side (module-level: must pickle under spawn)
 # --------------------------------------------------------------------- #
+#: A worker's first message: it has started and can take a cell.
+_READY = "ready"
+
+
 def _dispatch(spec: CellSpec, key: str, chaos: Optional[ChaosSpec],
               seq: int, final: bool) -> object:
-    """One supervised cell attempt inside a pool worker."""
+    """One supervised cell attempt inside a worker."""
     if chaos is not None:
         chaos_mod.apply_worker_chaos(chaos, key, seq, final,
                                      in_process=False)
     return execute_cell(spec)
 
 
+def _worker(conn: "Connection") -> None:
+    """A worker slot's process: send :data:`_READY`, then run one cell
+    per message until told to stop (``None``) or the pipe closes.
+
+    Each reply is ``(True, value)``, or ``(False, "Type: message")``
+    for the exception the cell raised — or, when the value does not
+    pickle, for the pickling error.  ``SIGINT`` is ignored: the
+    supervisor owns the worker and terminates it when the batch is
+    interrupted.
+    """
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    conn.send(_READY)
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        try:
+            reply: Tuple[bool, object] = (True, _dispatch(*task))
+        except Exception as exc:
+            reply = (False, f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(reply)
+        except Exception as exc:  # the value does not pickle
+            conn.send((False, f"{type(exc).__name__}: {exc}"))
+
+
+class _Slot:
+    """One spawned worker, its pipe, and the cell it holds (if any)."""
+
+    def __init__(self, ctx: "SpawnContext") -> None:
+        self.conn, child = ctx.Pipe()
+        self.proc: "SpawnProcess" = ctx.Process(
+            target=_worker, args=(child,), daemon=True)
+        self.proc.start()
+        child.close()  # so the parent's recv sees EOF once the worker dies
+        #: Set once the worker's ready message has arrived.
+        self.ready = False
+        #: The cell being run, and the monotonic time its budget ends.
+        self.key: Optional[str] = None
+        self.deadline: Optional[float] = None
+
+    @property
+    def idle(self) -> bool:
+        return self.ready and self.key is None
+
+    def stop(self, terminate: bool = False) -> None:
+        """End the worker and reap it: an idle worker is asked to stop
+        (unless ``terminate``), any other is terminated."""
+        if self.idle and not terminate:
+            with contextlib.suppress(OSError):
+                self.conn.send(None)
+        else:
+            self.proc.terminate()
+        self.proc.join()
+        self.conn.close()
+
+
 # --------------------------------------------------------------------- #
 # The supervision loop
 # --------------------------------------------------------------------- #
 class _Supervisor:
-    """State machine for one supervised batch (pool or serial)."""
+    """State machine for one supervised batch (worker slots or serial)."""
 
     def __init__(self, unique: Dict[str, CellSpec], workers: int,
                  cache: Optional[ResultCache],
@@ -293,7 +347,7 @@ class _Supervisor:
         self.report = report
         self.progress = progress
         self.outcomes: Dict[str, CellOutcome] = {}
-        #: Failed attempts per cell (errors + timeouts; NOT pool breaks).
+        #: Failed attempts per cell (errors, crashes, timeouts).
         self.attempts: Dict[str, int] = {}
         #: Total dispatches per cell (chaos/backoff draw index).
         self.seq: Dict[str, int] = {}
@@ -352,18 +406,13 @@ class _Supervisor:
         return (self.deadline is not None
                 and time.monotonic() >= self.deadline)
 
-    def _classify(self, exc: BaseException) -> Tuple[str, str]:
-        kind = "crash" if isinstance(exc, ChaosKill) else "error"
-        return kind, f"{type(exc).__name__}: {exc}"
-
     # -- serial supervised execution ------------------------------------ #
     def run_serial(self, keys: Iterable[str]) -> None:
         """In-process execution with retry (and in-process chaos).
 
-        Used for ``jobs == 1`` batches and as the degraded fallback;
-        per-cell timeouts are not enforceable here (nothing can
-        interrupt an in-process cell), but the batch deadline still is —
-        it is checked between attempts.
+        Used for ``jobs == 1`` batches; per-cell timeouts are not
+        enforceable here (nothing can interrupt an in-process cell), but
+        the batch deadline still is — it is checked between attempts.
         """
         for key in keys:
             if key in self.outcomes:
@@ -371,7 +420,6 @@ class _Supervisor:
             if self._out_of_time():
                 self._fail(key, "timeout", "batch deadline exhausted")
                 continue
-            last = "unknown"
             while True:
                 final = self._is_final(key)
                 seq = self._next_seq(key)
@@ -381,10 +429,10 @@ class _Supervisor:
                             self.chaos, key, seq, final, in_process=True)
                     value = execute_cell(self.unique[key])
                 except Exception as exc:
-                    kind, last = self._classify(exc)
+                    kind = "crash" if isinstance(exc, ChaosKill) else "error"
                     self.attempts[key] = self.attempts.get(key, 0) + 1
                     if final or self._out_of_time():
-                        self._fail(key, kind, last)
+                        self._fail(key, kind, f"{type(exc).__name__}: {exc}")
                         break
                     self.report.retried += 1
                     _sleep(backoff_ms(self.policy, key,
@@ -393,129 +441,120 @@ class _Supervisor:
                     self._succeed(key, value)
                     break
 
-    # -- pool supervised execution -------------------------------------- #
-    def run_pool(self, keys: List[str],
-                 make_pool: Callable[[int], ProcessPoolExecutor]) -> None:
-        # Pool-only modules load here, so a serial batch never pays them.
-        from concurrent.futures import FIRST_COMPLETED
-        from concurrent.futures import wait as futures_wait
-        from concurrent.futures.process import BrokenProcessPool
+    # -- worker slots ---------------------------------------------------- #
+    def run_pool(self, keys: List[str]) -> None:
+        """Run ``keys`` on ``self.workers`` worker slots."""
+        # Slot-only modules load here, so a serial batch never pays them.
+        import multiprocessing
+        from multiprocessing.connection import wait
+        _child_environment()
+        ctx = multiprocessing.get_context("spawn")
         queue: Deque[str] = deque(keys)
         waiting: List[Tuple[float, str]] = []  # (ready_at, key) heap
-        inflight: Dict[Future[object], Tuple[str, Optional[float]]] = {}
-        pool = make_pool(self.workers)
+        slots: List[_Slot] = []
         try:
-            while queue or waiting or inflight:
+            slots.extend(_Slot(ctx) for _ in range(self.workers))
+            while queue or waiting or any(s.key is not None
+                                          for s in slots):
                 if self._out_of_time():
-                    self._drain_deadline(queue, waiting, inflight)
-                    return
+                    self._drain_deadline(queue, waiting, slots)
+                    break
+                ready = wait([h for s in slots
+                              for h in (s.conn, s.proc.sentinel)],
+                             timeout=self._tick(queue, waiting, slots))
+                replies: List[Tuple[str, object]] = []
+                for i, slot in enumerate(slots):
+                    if slot.conn in ready or slot.proc.sentinel in ready:
+                        slots[i] = self._collect(slot, ctx, replies,
+                                                 queue, waiting)
                 now = time.monotonic()
                 while waiting and waiting[0][0] <= now:
                     queue.append(heapq.heappop(waiting)[1])
-                submit_broke = False
-                while queue and len(inflight) < self.workers:
-                    key = queue.popleft()
-                    seq = self._next_seq(key)
-                    try:
-                        fut = pool.submit(_dispatch, self.unique[key],
-                                          key, self.chaos, seq,
-                                          self._is_final(key))
-                    except (BrokenProcessPool, RuntimeError):
-                        # A worker died between wait() rounds and broke
-                        # the pool before we could even submit.
-                        queue.appendleft(key)
-                        submit_broke = True
-                        break
-                    cell_deadline = (
-                        time.monotonic() + self.policy.cell_timeout_s
-                        if self.policy.cell_timeout_s is not None else None)
-                    inflight[fut] = (key, cell_deadline)
-                if submit_broke:
-                    for lost_key, _dl in inflight.values():
-                        queue.appendleft(lost_key)
-                    inflight.clear()
-                    self.report.pool_rebuilds += 1
-                    self._note(f"pool broke on submit; rebuild "
-                               f"{self.report.pool_rebuilds}/"
-                               f"{self.policy.max_pool_rebuilds}")
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    if (self.report.pool_rebuilds
-                            > self.policy.max_pool_rebuilds):
-                        self._degrade(queue, waiting)
-                        return
-                    pool = make_pool(self.workers)
-                    continue
-                if not inflight:
-                    # Everything is backing off; sleep to the next event.
-                    target = waiting[0][0]
-                    if self.deadline is not None:
-                        target = min(target, self.deadline)
-                    _sleep(max(0.0, target - time.monotonic()))
-                    continue
-
-                done, _ = futures_wait(list(inflight),
-                                       timeout=self._tick(waiting,
-                                                          inflight),
-                                       return_when=FIRST_COMPLETED)
-                broken = False
-                for fut in done:
-                    key, _cell_deadline = inflight.pop(fut)
-                    try:
-                        value = fut.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        queue.appendleft(key)
-                    except (EOFError, OSError):
-                        # Pipe to a dead worker: same as a broken pool.
-                        broken = True
-                        queue.appendleft(key)
-                    except Exception as exc:
-                        self._retry_or_fail(key, exc, queue, waiting)
-                    else:
+                # Refill idle slots before the replies' cache and journal
+                # writes, so workers compute while the parent fsyncs.
+                for i, slot in enumerate(slots):
+                    if slot.idle and queue:
+                        slots[i] = self._send(slot, ctx, queue)
+                for key, (ok, value) in replies:
+                    if ok:
                         self._succeed(key, value)
+                    else:
+                        self._retry_or_fail(key, "error", str(value),
+                                            queue, waiting)
+                # A passed deadline stops only its own worker; a result
+                # already in the pipe is read on the next round instead.
+                now = time.monotonic()
+                for i, slot in enumerate(slots):
+                    key = slot.key
+                    if (key is not None and slot.deadline is not None
+                            and now >= slot.deadline
+                            and not slot.conn.poll()):
+                        slot.stop()
+                        slots[i] = _Slot(ctx)
+                        self._retry_or_fail(
+                            key, "timeout",
+                            f"cell exceeded {self.policy.cell_timeout_s:g}s "
+                            f"wall-clock budget", queue, waiting)
+        except BaseException:
+            for slot in slots:
+                slot.stop(terminate=True)
+            raise
+        for slot in slots:
+            slot.stop()
 
-                if broken:
-                    # Worker death does not name a guilty cell: requeue
-                    # every lost in-flight cell without charging its
-                    # retry budget; the pool-level rebuild budget bounds
-                    # this instead.
-                    for lost_key, _dl in inflight.values():
-                        queue.appendleft(lost_key)
-                    inflight.clear()
-                    self.report.pool_rebuilds += 1
-                    self._note(f"worker died; pool rebuild "
-                               f"{self.report.pool_rebuilds}/"
-                               f"{self.policy.max_pool_rebuilds}")
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    if (self.report.pool_rebuilds
-                            > self.policy.max_pool_rebuilds):
-                        self._degrade(queue, waiting)
-                        return
-                    pool = make_pool(self.workers)
-                    continue
+    def _collect(self, slot: _Slot, ctx: "SpawnContext",
+                 replies: List[Tuple[str, object]], queue: Deque[str],
+                 waiting: List[Tuple[float, str]]) -> _Slot:
+        """Read one slot's message (or its death); return the slot that
+        holds its place from now on."""
+        try:
+            message = slot.conn.recv() if slot.conn.poll() else None
+        except (EOFError, OSError):
+            message = None
+        if message is not None:
+            if not slot.ready:
+                slot.ready = True  # the ready message
+            elif slot.key is not None:
+                replies.append((slot.key, message))
+                slot.key, slot.deadline = None, None
+            return slot
+        # No message: the worker died.  Its own cell, and only that, is
+        # charged a crash.
+        key = slot.key
+        slot.stop(terminate=True)
+        if not slot.ready:
+            raise ExecutionError(f"a worker exited during start-up "
+                                 f"(exit code {slot.proc.exitcode})")
+        if key is not None:
+            self._retry_or_fail(
+                key, "crash",
+                f"worker died (exit code {slot.proc.exitcode})",
+                queue, waiting)
+        return _Slot(ctx)
 
-                timed_out = self._collect_timeouts(inflight)
-                if timed_out:
-                    # A pool cannot abort a running cell: kill the
-                    # workers and rebuild.  Innocent in-flight cells are
-                    # requeued uncharged; a timeout-driven rebuild does
-                    # not consume the crash-rebuild budget.
-                    for fut, (key, _dl) in list(inflight.items()):
-                        if fut in timed_out:
-                            self._timeout_cell(key, queue, waiting)
-                        else:
-                            queue.appendleft(key)
-                    inflight.clear()
-                    self._kill_pool(pool)
-                    pool = make_pool(self.workers)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+    def _send(self, slot: _Slot, ctx: "SpawnContext",
+              queue: Deque[str]) -> _Slot:
+        """Hand the next queued cell to an idle slot; its budget starts
+        now.  A worker that died while idle is replaced, uncharged."""
+        key = queue.popleft()
+        try:
+            slot.conn.send((self.unique[key], key, self.chaos,
+                            self._next_seq(key), self._is_final(key)))
+        except OSError:
+            queue.appendleft(key)
+            slot.stop(terminate=True)
+            return _Slot(ctx)
+        slot.key = key
+        if self.policy.cell_timeout_s is not None:
+            slot.deadline = time.monotonic() + self.policy.cell_timeout_s
+        return slot
 
-    def _tick(self, waiting: List[Tuple[float, str]],
-              inflight: Dict[Future[object], Tuple[str, Optional[float]]]
-              ) -> Optional[float]:
-        """How long the wait() may block before the next deadline."""
-        targets = [dl for _k, dl in inflight.values() if dl is not None]
+    def _tick(self, queue: Deque[str], waiting: List[Tuple[float, str]],
+              slots: List[_Slot]) -> Optional[float]:
+        """How long the wait may block before the next deadline."""
+        if queue and any(s.idle for s in slots):
+            return 0.0
+        targets = [s.deadline for s in slots if s.deadline is not None]
         if waiting:
             targets.append(waiting[0][0])
         if self.deadline is not None:
@@ -524,73 +563,29 @@ class _Supervisor:
             return None
         return max(0.0, min(targets) - time.monotonic())
 
-    def _retry_or_fail(self, key: str, exc: BaseException,
+    def _retry_or_fail(self, key: str, kind: str, detail: str,
                        queue: Deque[str],
                        waiting: List[Tuple[float, str]]) -> None:
-        kind, detail = self._classify(exc)
+        """Charge ``key`` one failed attempt of ``kind``: requeue it
+        after its backoff, or record its failure once out of retries."""
         self.attempts[key] = self.attempts.get(key, 0) + 1
         if self.attempts[key] > self.policy.max_retries:
             self._fail(key, kind, detail)
             return
         self.report.retried += 1
+        if kind == "timeout":
+            self.report.timeouts += 1
         delay = backoff_ms(self.policy, key, self.attempts[key]) / 1000.0
         if delay > 0:
             heapq.heappush(waiting, (time.monotonic() + delay, key))
         else:
             queue.append(key)
-
-    def _timeout_cell(self, key: str, queue: Deque[str],
-                      waiting: List[Tuple[float, str]]) -> None:
-        self.attempts[key] = self.attempts.get(key, 0) + 1
-        assert self.policy.cell_timeout_s is not None
-        if self.attempts[key] > self.policy.max_retries:
-            self._fail(key, "timeout",
-                       f"cell exceeded {self.policy.cell_timeout_s:g}s "
-                       f"wall-clock budget")
-            return
-        self.report.retried += 1
-        self.report.timeouts += 1
-        delay = backoff_ms(self.policy, key, self.attempts[key]) / 1000.0
-        if delay > 0:
-            heapq.heappush(waiting, (time.monotonic() + delay, key))
-        else:
-            queue.append(key)
-
-    def _collect_timeouts(
-            self,
-            inflight: Dict[Future[object], Tuple[str, Optional[float]]]
-    ) -> List[Future[object]]:
-        now = time.monotonic()
-        return [fut for fut, (_key, dl) in inflight.items()
-                if dl is not None and now >= dl and not fut.done()]
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        procs = getattr(pool, "_processes", None) or {}
-        for proc in list(procs.values()):
-            with contextlib.suppress(Exception):
-                proc.terminate()
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def _degrade(self, queue: Deque[str],
-                 waiting: List[Tuple[float, str]]) -> None:
-        self.report.degraded = True
-        remaining = sorted(set(queue) | {k for _t, k in waiting})
-        warnings.warn(
-            f"supervised batch exhausted its pool-rebuild budget "
-            f"({self.policy.max_pool_rebuilds}); degrading to in-process "
-            f"serial execution for {len(remaining)} remaining cell(s)",
-            SupervisorDegradedWarning, stacklevel=4)
-        self._note("DEGRADED: continuing serially")
-        self.run_serial(remaining)
 
     def _drain_deadline(self, queue: Deque[str],
                         waiting: List[Tuple[float, str]],
-                        inflight: Dict[Future[object],
-                                       Tuple[str, Optional[float]]]
-                        ) -> None:
+                        slots: List[_Slot]) -> None:
         remaining = (set(queue) | {k for _t, k in waiting}
-                     | {k for k, _dl in inflight.values()})
+                     | {s.key for s in slots if s.key is not None})
         for key in sorted(remaining):
             self._fail(key, "timeout", "batch deadline exhausted")
 
@@ -681,7 +676,7 @@ def run_supervised(specs: Iterable[CellSpec],
         if workers <= 1:
             sup.run_serial(todo)
         else:
-            sup.run_pool(todo, _make_pool)
+            sup.run_pool(todo)
         outcomes.update(sup.outcomes)
 
     results = CellResults(outcomes)

@@ -96,7 +96,7 @@ def chaos_fabric(tmp_path):
         if cache is None:
             cache = default_cache
         if policy is None:
-            policy = SupervisorPolicy(max_retries=3, max_pool_rebuilds=20)
+            policy = SupervisorPolicy(max_retries=3)
         return run_supervised(list(specs), jobs=jobs, cache=cache,
                               policy=policy, chaos=chaos, resume=resume)
 

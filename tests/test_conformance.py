@@ -167,6 +167,23 @@ class TestMutantRegression:
         outcome = replay_artifact(path)
         assert outcome.reproduced, outcome.render()
 
+    def test_metamorphic_violation_is_judged_per_scenario(self):
+        """Shrink and replay judge a scenario with its twin cells, so
+        corpus seed 7's #110 (a degraded-machine run faster than the
+        healthy one) is a violation there too, not only in the corpus."""
+        from repro.conformance.driver import check_scenario
+        verdict = check_scenario(scenario_at(110, seed=7),
+                                 ("credit", "relaxed", "asman"))
+        assert {(v.check, v.scheduler) for v in verdict.violations} == {
+            ("metamorphic-slowdown", "credit")}
+
+    def test_checked_in_metamorphic_artifact_replays(self):
+        """Pins the seed-7 #110 anomaly (not fixed yet): its shrunk
+        artifact must keep replaying with the same signature."""
+        path = FIXTURES / "conformance" / "metamorphic_slowdown_minimized.json"
+        outcome = replay_artifact(path)
+        assert outcome.reproduced, outcome.render()
+
     def test_shrink_refuses_passing_scenario(self):
         sc = scenario_at(1)
         with pytest.raises(ConfigurationError):

@@ -18,18 +18,13 @@ from repro.experiments.runner import (SingleVmResult, run_multi_vm,
 from repro.faults import FaultSpec
 from repro.parallel import (CellFailure, CellSpec, ResultCache, RunContext,
                             WorkloadSpec, canonical_value, current_context,
-                            execute_cell, multi_vm_cell, pool_map,
-                            resolve_jobs, result_fingerprint, run_cells,
-                            single_vm_cell, specjbb_cell, use_context)
+                            execute_cell, multi_vm_cell, resolve_jobs,
+                            result_fingerprint, run_cells, single_vm_cell,
+                            specjbb_cell, use_context)
 from repro.parallel import cells as cells_mod
 
 EP = WorkloadSpec("nas", "EP", scale=0.05)
 LU = WorkloadSpec("nas", "LU", scale=0.05)
-
-
-def _double(x):
-    # Module-level so it pickles under the spawn start method.
-    return x * 2
 
 
 # --------------------------------------------------------------------- #
@@ -292,11 +287,6 @@ class TestJobsResolution:
             resolve_jobs("many")
         with pytest.raises(ConfigurationError):
             RunContext(jobs="bogus")  # rejected when built, not when used
-
-    def test_pool_map_preserves_order(self):
-        items = list(range(10))
-        assert pool_map(_double, items, jobs=1) == [x * 2 for x in items]
-        assert pool_map(_double, items, jobs=2) == [x * 2 for x in items]
 
 
 class TestRunCells:

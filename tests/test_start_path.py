@@ -1,9 +1,9 @@
-"""Start-path guards: what a ``repro`` process and a pool worker load.
+"""Start-path guards: what a ``repro`` process and a worker load.
 
 Every CLI invocation and every spawned worker (unpickling
-``supervisor._dispatch`` imports the same package) pays for the modules
+``supervisor._worker`` imports the same package) pays for the modules
 on its import path.  Test-only modules (pytest) must never be on it, and
-the process-pool modules only load when a pool is built.
+the process-pool modules only load when worker slots are built.
 
 Each check runs in a fresh interpreter via ``python -c``: this process
 has pytest loaded already, and so would a spawn child of it.
@@ -19,7 +19,9 @@ import repro
 SRC = Path(repro.__file__).resolve().parents[1]
 
 TEST_ONLY = ("pytest", "_pytest", "pluggy")
-POOL_ONLY = ("multiprocessing", "concurrent.futures")
+#: ``concurrent`` is the parent package of the executor modules: any
+#: import of them loads it.
+POOL_ONLY = ("multiprocessing", "concurrent")
 
 
 def loaded_after(code: str, modules) -> list:

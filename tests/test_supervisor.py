@@ -45,8 +45,6 @@ class TestPolicyValidation:
         with pytest.raises(ConfigurationError):
             SupervisorPolicy(max_retries=-1)
         with pytest.raises(ConfigurationError):
-            SupervisorPolicy(max_pool_rebuilds=-1)
-        with pytest.raises(ConfigurationError):
             SupervisorPolicy(backoff_base_ms=-1.0)
 
     def test_none_timeouts_mean_unlimited(self):
@@ -448,17 +446,12 @@ class TestAtomicWrite:
 
 
 # --------------------------------------------------------------------- #
-# KeyboardInterrupt does not leak the executor (satellite bugfix)
+# KeyboardInterrupt does not leak a worker
 # --------------------------------------------------------------------- #
 _SIGINT_SCRIPT = """\
-import sys, time
+import sys
 sys.path.insert(0, {src!r})
-from repro.parallel import (ChaosSpec, WorkloadSpec, pool_map, run_cells,
-                            single_vm_cell)
-
-def slow(x):
-    time.sleep(2.0)
-    return x
+from repro.parallel import ChaosSpec, WorkloadSpec, run_cells, single_vm_cell
 
 if __name__ == "__main__":
     print("READY", flush=True)
@@ -470,10 +463,9 @@ if __name__ == "__main__":
     print("FINISHED", flush=True)
 """
 
-#: Both pool loops, each with 64 items of ~2 s queued on 2 workers.  The
-#: cells stall 2 s in a chaos-injected first attempt, then finish fast.
+#: 64 items of ~2 s queued on 2 workers.  The cells stall 2 s in a
+#: chaos-injected first attempt, then finish fast.
 _SIGINT_CALLS = {
-    "pool_map": "pool_map(slow, list(range(64)), jobs=2)",
     "run_cells": (
         "run_cells([single_vm_cell(WorkloadSpec('synthetic', 'compute1', "
         "scale=0.05), seed=s) for s in range(64)], jobs=2, "
