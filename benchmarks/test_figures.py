@@ -5,7 +5,10 @@
 :func:`~repro.experiments.figures.run_figure` that ``repro figure NAME``
 calls, writes the rendering to ``benchmarks/results/<artifact>``, and
 applies that figure's shape check from :data:`SHAPES`.  A run from a
-clean checkout must leave ``benchmarks/results/`` unchanged.
+clean checkout must leave ``benchmarks/results/`` unchanged, and so must
+a run with fast-forward off (``REPRO_NO_FASTFORWARD=1``) or the
+sanitizer on (``REPRO_SANITIZE=1``): both must reproduce every series
+of every figure byte for byte.
 """
 
 import pathlib

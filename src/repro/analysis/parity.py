@@ -138,8 +138,8 @@ INVARIANT_PARITY: Tuple[Invariant, ...] = (
         asymmetry="quiescence is a dynamic state property (idle PCPU, "
                   "all queued VCPUs parked) no static rule can decide; "
                   "the sanitizer replays the skipped pass step-wise and "
-                  "compares state signatures, and the ff-off fingerprint "
-                  "gate covers unsanitized runs",
+                  "compares state signatures, and the figures rerun "
+                  "with fast-forward disabled cover unsanitized runs",
     ),
 )
 

@@ -10,7 +10,7 @@
 * ``robustness`` — the fault-injection matrix (``repro.faults``): how
   each scheduler degrades under hypercall loss, IPI drops, Monitoring
   Module misreporting and degraded PCPUs;
-* ``perf`` — the simulation-core benchmark/regression harness
+* ``perf`` — the simulation-core events/sec regression harness
   (``repro.perf``): emits ``BENCH_<name>.json`` and optionally gates
   against a committed baseline (``--check``);
 * ``conform`` — the differential conformance suite
@@ -617,7 +617,7 @@ def cmd_lint(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    """``repro perf``: run the performance regression harness.
+    """``repro perf``: run the events/sec regression harness.
 
     Emits ``BENCH_<name>.json`` per benchmark; ``--check`` gates
     events/sec (host-normalised) and simulation fingerprints against a
@@ -632,76 +632,37 @@ def cmd_perf(args) -> int:
         for name in perf.registry:
             print(name)
         return 0
+    if args.only and args.check:
+        print("perf error: --check compares every bench in the baseline; "
+              "drop --only", file=sys.stderr)
+        return 2
     names = args.only.split(",") if args.only else None
-    mode = "quick" if args.quick else "full"
     config = perf.run_config()
     print("run config: " + ", ".join(f"{k}={'on' if v else 'off'}"
                                      for k, v in config.items()))
-    profiler = None
-    if args.profile:
-        import cProfile
-        profiler = cProfile.Profile()
-        profiler.enable()
     try:
         results = perf.run_benchmarks(
-            names, quick=args.quick,
-            progress=lambda n: print(f"running {n} [{mode}] ...", flush=True))
+            names, progress=lambda n: print(f"running {n} ...", flush=True))
     except ConfigurationError as exc:
         raise SystemExit(str(exc))
     out_dir = pathlib.Path(args.out)
-    if profiler is not None:
-        import pstats
-
-        profiler.disable()
-        out_dir.mkdir(parents=True, exist_ok=True)
-        pstats_path = out_dir / "profile.pstats"
-        profiler.dump_stats(pstats_path)
-        print(f"\nprofile (top 20 by cumulative time) -> {pstats_path}")
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.strip_dirs().sort_stats("cumulative").print_stats(20)
     for r in results:
         path = perf.write_result(r, out_dir)
         print(f"  {r.name}: {r.events_per_s:,.0f} events/s "
               f"({r.events} events in {r.wall_s:.3f}s, "
               f"peak heap {r.peak_heap_entries}) -> {path}")
-    if args.trajectory:
-        import json
-
-        base_path = pathlib.Path(args.check or "benchmarks/perf_baseline.json")
-        before = perf.load_baseline(base_path).get("benches", {})
-        traj = {}
-        for r in results:
-            b = before.get(r.name, {})
-            prev = float(b.get("events_per_s", 0.0))
-            traj[r.name] = {
-                "before_events_per_s": round(prev, 1),
-                "after_events_per_s": round(r.events_per_s, 1),
-                "speedup": round(r.events_per_s / prev, 3) if prev else None,
-            }
-        doc = {"meta": {"mode": mode, "config": config,
-                        "baseline": str(base_path)},
-               "benches": traj}
-        traj_path = pathlib.Path(args.trajectory)
-        traj_path.write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote perf trajectory {traj_path}")
     status = 0
     if args.update_baseline or args.check:
         calibration = perf.calibrate()
         print(f"host calibration: {calibration:,.0f} loop-iters/s")
     if args.update_baseline:
         perf.write_baseline(results, pathlib.Path(args.update_baseline),
-                            args.quick, calibration)
+                            calibration)
         print(f"wrote baseline {args.update_baseline}")
     if args.check:
         baseline = perf.load_baseline(pathlib.Path(args.check))
-        base_mode = baseline.get("meta", {}).get("mode")
-        if base_mode != mode:
-            print(f"baseline was recorded in {base_mode!r} mode but this "
-                  f"run is {mode!r}; rerun with matching --quick",
-                  file=sys.stderr)
-            return 2
-        failures = perf.check_against_baseline(
-            results, baseline, calibration, threshold=args.fail_threshold)
+        failures = perf.check_against_baseline(results, baseline,
+                                               calibration)
         if failures:
             print("\nPERF REGRESSION:", file=sys.stderr)
             for f in failures:
@@ -709,7 +670,7 @@ def cmd_perf(args) -> int:
             status = 1
         else:
             print(f"perf check OK against {args.check} "
-                  f"(threshold {args.fail_threshold:.0%})")
+                  f"(threshold {perf.FAIL_THRESHOLD:.0%})")
     return status
 
 
@@ -845,27 +806,17 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--list-classes", action="store_true",
                     help="list fault classes and exit")
 
-    pp = sub.add_parser("perf", help="performance regression harness",
+    pp = sub.add_parser("perf", help="events/sec regression harness",
                         parents=[sim_common])
-    pp.add_argument("--quick", action="store_true",
-                    help="smaller iteration counts (CI smoke mode)")
     pp.add_argument("--only", metavar="NAMES",
                     help="comma-separated benchmark subset")
     pp.add_argument("--out", metavar="DIR", default="benchmarks/results/perf",
                     help="directory for BENCH_<name>.json files")
     pp.add_argument("--check", metavar="BASELINE",
-                    help="fail on events/sec regression vs this baseline")
-    pp.add_argument("--fail-threshold", type=float, default=0.30,
-                    help="allowed events/sec drop fraction (default 0.30)")
+                    help="fail on an events/sec drop of more than 30%% "
+                         "(or a fingerprint change) vs this baseline")
     pp.add_argument("--update-baseline", metavar="PATH",
                     help="write this run as the new baseline")
-    pp.add_argument("--profile", action="store_true",
-                    help="cProfile the run: print the top-20 cumulative "
-                         "hotspots and dump profile.pstats under --out")
-    pp.add_argument("--trajectory", metavar="PATH",
-                    help="write a before/after/speedup record per bench "
-                         "vs the --check baseline (default: the "
-                         "committed benchmarks/perf_baseline.json)")
     pp.add_argument("--list", action="store_true",
                     help="list benchmark names and exit")
 

@@ -6,12 +6,17 @@ defaults mirror the paper's testbed: a Dell T5400 with dual quad-core Xeon
 X5410 (8 PCPUs at 2.33 GHz), Xen 3.3.0 Credit-scheduler timing (30 ms time
 slice, 10 ms accounting tick), and ASMan's delta = 20 over-threshold
 exponent.
+
+:func:`run_config` is the host-side counterpart: the process's
+determinism-relevant switches (sanitizer, fast-forward).  Worker
+processes install their parent's with :func:`apply_run_config`, and the
+result cache mixes it into its key salt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro import units
 from repro.errors import ConfigurationError
@@ -245,3 +250,27 @@ def vcpu_online_rate(num_pcpus: int, proportion: float, num_vcpus: int) -> float
     if num_vcpus <= 0:
         raise ConfigurationError("num_vcpus must be positive")
     return min(1.0, num_pcpus * proportion / num_vcpus)
+
+
+def run_config() -> Dict[str, bool]:
+    """The determinism-relevant configuration of this process.
+
+    Sanitizer-on runs execute extra validation work and fast-forward-off
+    runs take the step-wise paths.  Both produce identical results, so
+    the flags matter only where a run must really take those paths (a
+    worker, a cache lookup) or is timed (a perf baseline's stamp).
+    """
+    from repro import analysis
+    from repro.fastforward import fastforward_enabled
+
+    return {"sanitize": analysis.sanitize_enabled(),
+            "fastforward": fastforward_enabled()}
+
+
+def apply_run_config(config: Mapping[str, bool]) -> None:
+    """Install a :func:`run_config` dict as this process's overrides."""
+    from repro import analysis
+    from repro.fastforward import set_fastforward
+
+    analysis.set_sanitize(config["sanitize"])
+    set_fastforward(config["fastforward"])

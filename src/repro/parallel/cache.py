@@ -3,14 +3,17 @@
 Every cell result is stored under a key that is a pure function of *what
 was simulated*: the SHA-256 of the cell's canonical spec (scenario kind,
 scheduler, rate, seed, workload, resolved :class:`SchedulerConfig`, …)
-salted with the installed ``repro`` version.  Consequences:
+salted with the installed ``repro`` version and the process's
+:func:`~repro.config.run_config` (sanitizer, fast-forward).  Consequences:
 
 * re-running an unchanged figure is a pure cache hit — no simulation;
 * changing **one** parameter (a seed, a scale, a scheduler knob)
   re-keys only the affected cells, so a sweep re-simulates exactly the
   dirty part of its grid;
 * upgrading ``repro`` invalidates everything at once — a deliberate,
-  coarse guard against stale results from changed simulation code.
+  coarse guard against stale results from changed simulation code;
+* a sanitized or fast-forward-off run never reads an entry a default
+  run stored, so it really takes the paths it was asked to check.
 
 Entries live in ``.repro-cache/`` (override with ``REPRO_CACHE_DIR`` or
 the ``--cache-dir`` CLI/pytest options), fanned out over two-hex-char
@@ -46,6 +49,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import __version__
+from repro.config import run_config
 from repro.errors import CacheIntegrityError
 from repro.parallel.cells import CellSpec
 
@@ -70,8 +74,9 @@ class CacheIntegrityWarning(UserWarning):
 
 
 def default_salt() -> str:
-    """Code-version salt mixed into every cache key."""
-    return f"repro-{__version__}/schema-{CACHE_SCHEMA}"
+    """Code-version and run-config salt mixed into every cache key."""
+    flags = ",".join(f"{k}={int(v)}" for k, v in sorted(run_config().items()))
+    return f"repro-{__version__}/schema-{CACHE_SCHEMA}/{flags}"
 
 
 class ResultCache:

@@ -315,7 +315,7 @@ def result_fingerprint(value: object) -> int:
 
     A serial run and an N-way parallel run of the same spec must produce
     the same fingerprint — this is the determinism gate the parallel
-    tests and the ``parallel_scaling`` macro bench check.
+    tests, the conformance cross-jobs check and ``repro chaos`` apply.
     """
     text = json.dumps(canonical_value(value), sort_keys=True,
                       separators=(",", ":"))

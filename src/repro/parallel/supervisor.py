@@ -8,7 +8,9 @@ results:
 * **Worker slots** — ``jobs > 1`` runs the batch on ``jobs`` spawned
   worker processes, each with one pipe and at most one cell at a time.
   The supervisor owns every slot, so it can stop one worker without
-  touching the others.
+  touching the others.  Each worker starts with its parent's
+  :func:`~repro.config.run_config` (sanitizer, fast-forward), so an
+  in-process ``--sanitize`` reaches the cells it runs.
 * **Timeouts** — a per-cell wall-clock budget (``cell_timeout_s``) that
   starts when the cell is sent to a ready worker, and a whole-batch
   deadline (``batch_deadline_s``).  A cell that overruns has its own
@@ -58,6 +60,7 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, Iterable, List,
                     Optional, Tuple, Union)
 
+from repro.config import apply_run_config, run_config
 from repro.errors import ConfigurationError, ExecutionError
 from repro.parallel import chaos as chaos_mod
 from repro.parallel.cache import ResultCache
@@ -264,9 +267,11 @@ def _dispatch(spec: CellSpec, key: str, chaos: Optional[ChaosSpec],
     return execute_cell(spec)
 
 
-def _worker(conn: "Connection") -> None:
-    """A worker slot's process: send :data:`_READY`, then run one cell
-    per message until told to stop (``None``) or the pipe closes.
+def _worker(conn: "Connection", config: Dict[str, bool]) -> None:
+    """A worker slot's process: install the parent's ``config`` (a
+    :func:`~repro.config.run_config` dict), send :data:`_READY`, then run
+    one cell per message until told to stop (``None``) or the pipe
+    closes.
 
     Each reply is ``(True, value)``, or ``(False, "Type: message")``
     for the exception the cell raised — or, when the value does not
@@ -276,6 +281,7 @@ def _worker(conn: "Connection") -> None:
     """
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    apply_run_config(config)
     conn.send(_READY)
     while True:
         try:
@@ -300,7 +306,7 @@ class _Slot:
     def __init__(self, ctx: "SpawnContext") -> None:
         self.conn, child = ctx.Pipe()
         self.proc: "SpawnProcess" = ctx.Process(
-            target=_worker, args=(child,), daemon=True)
+            target=_worker, args=(child, run_config()), daemon=True)
         self.proc.start()
         child.close()  # so the parent's recv sees EOF once the worker dies
         #: Set once the worker's ready message has arrived.

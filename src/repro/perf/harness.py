@@ -1,9 +1,10 @@
 """Benchmark plumbing: results, registry, baselines, regression checks.
 
-A benchmark is a callable ``fn(quick: bool) -> BenchResult`` registered
-via :func:`bench`.  Results serialise to ``BENCH_<name>.json``; a
-*baseline* file aggregates one run's results (plus a host-speed
-calibration figure) so later runs can be gated against it.
+A benchmark is a callable ``fn() -> BenchResult`` registered via
+:func:`bench`; each runs one fixed, CI-sized configuration.  Results
+serialise to ``BENCH_<name>.json``; a *baseline* file aggregates one
+run's results (plus a host-speed calibration figure) so later runs can
+be gated against it.
 
 Cross-host comparability
 ------------------------
@@ -11,9 +12,16 @@ Raw events/sec depends on the machine running the benchmark.  Each run
 therefore also times a fixed pure-Python **calibration loop** that does
 not touch the simulator; a baseline check scales the expected events/sec
 by ``current_calibration / baseline_calibration`` before applying the
-regression threshold, so a slower CI runner does not read as an engine
-regression.  Simulation *fingerprints* (deterministic integer outcomes)
-are compared exactly — they are hardware independent by construction.
+regression threshold (:data:`FAIL_THRESHOLD`), so a slower CI runner
+does not read as an engine regression.  Simulation *fingerprints*
+(deterministic integer outcomes) are compared exactly — they are
+hardware independent by construction.
+
+Every baseline is stamped with :func:`repro.config.run_config`:
+sanitizer-on and fast-forward-off runs simulate the same events more
+slowly, so :func:`check_against_baseline` refuses to compare across
+differing stamps instead of reporting a phantom regression (or masking
+a real one).
 """
 
 from __future__ import annotations
@@ -25,16 +33,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.config import run_config
 from repro.errors import ConfigurationError
 
-#: Registered benchmarks, in registration order: name -> fn(quick) -> BenchResult.
-registry: Dict[str, Callable[[bool], "BenchResult"]] = {}
+#: Registered benchmarks, in registration order: name -> fn() -> BenchResult.
+registry: Dict[str, Callable[[], "BenchResult"]] = {}
+
+#: Largest allowed events/sec drop below the host-scaled baseline.
+FAIL_THRESHOLD = 0.30
 
 
 def bench(name: str) -> Callable:
     """Decorator: register a benchmark under ``name``."""
 
-    def register(fn: Callable[[bool], "BenchResult"]) -> Callable:
+    def register(fn: Callable[[], "BenchResult"]) -> Callable:
         if name in registry:
             raise ConfigurationError(f"duplicate benchmark name {name!r}")
         registry[name] = fn
@@ -90,24 +102,6 @@ def fingerprint_of(*values: int) -> int:
     return acc
 
 
-def run_config() -> Dict[str, bool]:
-    """The determinism-relevant configuration of this process.
-
-    Sanitizer-on runs execute extra validation work (slower) and
-    fast-forward-off runs take the step-wise paths (also slower); both
-    still produce identical fingerprints, but their events/sec are not
-    comparable to a differently-configured baseline.  Every baseline is
-    stamped with this dict and :func:`check_against_baseline` refuses to
-    compare across differing stamps instead of reporting a phantom
-    regression (or masking a real one).
-    """
-    from repro import analysis
-    from repro.fastforward import fastforward_enabled
-
-    return {"sanitize": analysis.sanitize_enabled(),
-            "fastforward": fastforward_enabled()}
-
-
 def timed(fn: Callable[[], int]) -> tuple:
     """Run ``fn`` (returning an event count) under a wall-clock timer;
     return ``(wall_s, events)``."""
@@ -158,7 +152,6 @@ def calibrate(rounds: int = 3) -> float:
 # Running and persistence
 # --------------------------------------------------------------------- #
 def run_benchmarks(names: Optional[Sequence[str]] = None,
-                   quick: bool = False,
                    progress: Optional[Callable[[str], None]] = None
                    ) -> List[BenchResult]:
     """Run the selected (default: all) registered benchmarks."""
@@ -171,7 +164,7 @@ def run_benchmarks(names: Optional[Sequence[str]] = None,
     for name in selected:
         if progress:
             progress(name)
-        results.append(registry[name](quick))
+        results.append(registry[name]())
     return results
 
 
@@ -184,11 +177,10 @@ def write_result(result: BenchResult, out_dir: Path) -> Path:
 
 
 def write_baseline(results: Sequence[BenchResult], path: Path,
-                   quick: bool, calibration: float) -> None:
+                   calibration: float) -> None:
     """Persist one run as the regression baseline."""
     doc = {
         "meta": {
-            "mode": "quick" if quick else "full",
             "config": run_config(),
             "calibration_events_per_s": round(calibration, 1),
             "python": platform.python_version(),
@@ -206,16 +198,15 @@ def load_baseline(path: Path) -> Dict:
 
 
 def check_against_baseline(results: Sequence[BenchResult], baseline: Dict,
-                           calibration: float,
-                           threshold: float = 0.30) -> List[str]:
+                           calibration: float) -> List[str]:
     """Compare a run against a baseline.  Returns a list of human-readable
     failures (empty = pass).
 
     * the baseline's config stamp (sanitize / fast-forward state) must
       match this process exactly — differently-configured runs are not
       performance-comparable and the check refuses them loudly;
-    * events/sec may not drop more than ``threshold`` below the baseline
-      after host-speed normalisation;
+    * events/sec may not drop more than :data:`FAIL_THRESHOLD` below the
+      baseline after host-speed normalisation;
     * fingerprints must match exactly (determinism gate);
     * benchmarks present in the baseline but not in the run are reported,
       so a gate cannot silently shrink its coverage.
@@ -245,12 +236,12 @@ def check_against_baseline(results: Sequence[BenchResult], baseline: Dict,
             failures.append(f"{name}: present in baseline but not run")
             continue
         expected = float(base["events_per_s"]) * scale
-        floor = expected * (1.0 - threshold)
+        floor = expected * (1.0 - FAIL_THRESHOLD)
         if got.events_per_s < floor:
             failures.append(
                 f"{name}: {got.events_per_s:,.0f} events/s < floor "
                 f"{floor:,.0f} (baseline {base['events_per_s']:,.0f} "
-                f"x host-scale {scale:.2f}, threshold {threshold:.0%})")
+                f"x host-scale {scale:.2f}, threshold {FAIL_THRESHOLD:.0%})")
         base_fp = base.get("fingerprint")
         if base_fp is not None and got.fingerprint is not None \
                 and got.fingerprint != base_fp:

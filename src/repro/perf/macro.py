@@ -1,24 +1,14 @@
 """Macro-benchmarks: timed runs of real paper testbeds.
 
 These measure the engine *as the figures use it* — full guest kernels,
-schedulers, monitors and trace collectors.  Each reports the simulator's
-events/second over the wall-clock run plus a fingerprint of the
-simulated outcome (completion cycle, event count, spinlock statistics),
-so the perf gate doubles as a same-seed determinism gate.
-
-Timings here are only comparable between runs with the same
-determinism-relevant configuration: a sanitizer-on run re-validates
-every scheduling pass and a fast-forward-off run takes the step-wise
-dispatch paths, so both are deliberately slower while producing the
-same fingerprints.  Baselines are therefore stamped with
-:func:`repro.perf.harness.run_config` and
-:func:`~repro.perf.harness.check_against_baseline` refuses a stamp
-mismatch instead of comparing incompatible configs.
+schedulers, monitors and trace collectors — at a reduced workload scale
+(Fig 7's LU at 0.2, Fig 11(a)'s mix at 0.12).  Each reports the
+simulator's events/second over the wall-clock run plus a fingerprint of
+the simulated outcome (completion cycle, event count, spinlock
+statistics), which the baseline check compares exactly.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
 
 from repro import units
 from repro.config import SchedulerConfig
@@ -30,10 +20,10 @@ from repro.workloads.speccpu import SpecCpuRateWorkload
 
 
 @bench("fig07_lu_testbed")
-def fig07_lu_testbed(quick: bool = False) -> BenchResult:
+def fig07_lu_testbed() -> BenchResult:
     """The Figure 7 scenario: LU in a 4-VCPU VM at a 40% online rate
     (plus idle Domain-0, non-work-conserving), under Credit and ASMan."""
-    scale = 0.2 if quick else 0.4
+    scale = 0.2
     fp_parts = []
     events = 0
     peak = 0
@@ -71,90 +61,12 @@ def fig07_lu_testbed(quick: bool = False) -> BenchResult:
     return result
 
 
-@bench("parallel_scaling")
-def parallel_scaling(quick: bool = False) -> BenchResult:
-    """The parallel experiment fabric under load: a fixed Fig-7-style
-    batch of single-VM LU cells run at increasing ``--jobs`` levels, plus
-    the content-addressed cache's cold/warm round-trip.
-
-    ``extra`` records ``speedup_j<N>`` (serial wall over N-way wall — on
-    a 1-core host these sit below 1.0 from spawn overhead, on an 8-core
-    host ``speedup_j8`` should exceed 3.0) and ``cache_cold_s`` /
-    ``cache_warm_s`` (a warm rerun must cost <10% of cold).  Speedups are
-    host-dependent, so this bench is deliberately *not* in the committed
-    events/sec baseline; the fingerprint, which every jobs level must
-    reproduce identically, is the portable part.
-    """
-    import shutil
-    import tempfile
-
-    from repro.experiments.runner import SingleVmResult
-    from repro.parallel import (ResultCache, RunContext, WorkloadSpec,
-                                run_cells, single_vm_cell, use_context)
-
-    scale = 0.05 if quick else 0.15
-    wl = WorkloadSpec("nas", "LU", scale=scale)
-    cells = [single_vm_cell(wl, scheduler=sched, online_rate=rate, seed=seed)
-             for sched in ("credit", "asman")
-             for rate in (1.0, 0.4)
-             for seed in (1, 2)]
-    levels = (1, 2) if quick else (1, 2, 4, 8)
-
-    tmp = tempfile.mkdtemp(prefix="repro-bench-cache-")
-    try:
-        walls: Dict[int, float] = {}
-        fingerprint_hex: Optional[str] = None
-        events = 0
-        for jobs in levels:
-            def drive(jobs: int = jobs) -> int:
-                # Cold timings: a default context never touches a cache.
-                with use_context(RunContext()):
-                    results = run_cells(cells, jobs=jobs)
-                nonlocal fingerprint_hex
-                combined = results.combined_fingerprint()
-                assert fingerprint_hex in (None, combined), \
-                    "parallel run diverged from the serial reference"
-                fingerprint_hex = combined
-                total = 0
-                for outcome in results:
-                    value = outcome.value
-                    assert isinstance(value, SingleVmResult)
-                    total += value.events_executed
-                return total
-
-            walls[jobs], events = timed(drive)
-
-        cache = ResultCache(tmp)
-        cold, _ = timed(lambda: run_cells(cells, jobs=1, cache=cache)
-                        and events)
-        warm, _ = timed(lambda: run_cells(cells, jobs=1, cache=cache)
-                        and events)
-        assert cache.hits == len(cells), "warm rerun was not all-hit"
-
-        extra = {f"speedup_j{j}": walls[levels[0]] / walls[j]
-                 for j in levels[1:]}
-        extra["cache_cold_s"] = cold
-        extra["cache_warm_s"] = warm
-        assert fingerprint_hex is not None
-        return BenchResult(
-            name="parallel_scaling",
-            wall_s=walls[levels[0]],
-            events=events,
-            events_per_s=events / walls[levels[0]],
-            peak_heap_entries=0,
-            fingerprint=int(fingerprint_hex, 16),
-            extra=extra,
-        )
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
 @bench("fig11a_mix_testbed")
-def fig11a_mix_testbed(quick: bool = False) -> BenchResult:
+def fig11a_mix_testbed() -> BenchResult:
     """The Figure 11(a) scenario: bzip2 + gcc + SP + LU on four VMs plus
     Domain-0, work-conserving, under the Credit scheduler, run until every
     VM completes one measured round."""
-    scale = 0.12 if quick else 0.25
+    scale = 0.12
     rounds = 8
     tb = Testbed(scheduler="credit", num_pcpus=8, seed=1,
                  sched_config=SchedulerConfig(work_conserving=True))

@@ -1,9 +1,8 @@
 """Micro-benchmarks: the event engine (and its nearest consumers) alone.
 
-Every benchmark here is deterministic — no RNG, fixed iteration counts —
-so its ``fingerprint`` (final clock + event count) is bit-identical
-across hosts and runs.  ``quick`` mode shrinks iteration counts ~4x for
-the CI smoke gate.
+Every benchmark here is deterministic — no RNG, fixed iteration counts
+sized for the CI gate — so its ``fingerprint`` (final clock + event
+count) is bit-identical across hosts and runs.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.vmm.vm import VM
 
 
 @bench("event_throughput")
-def event_throughput(quick: bool = False) -> BenchResult:
+def event_throughput() -> BenchResult:
     """Raw schedule/fire throughput: a heap of self-rescheduling chains.
 
     ``width`` chains keep the heap populated (realistic depth for the
@@ -29,7 +28,7 @@ def event_throughput(quick: bool = False) -> BenchResult:
     pattern of compute-activity events in real runs.
     """
     width = 64
-    hops = 2_500 if quick else 10_000
+    hops = 2_500
     sim = Simulator()
     remaining = [hops] * width
 
@@ -50,7 +49,7 @@ def event_throughput(quick: bool = False) -> BenchResult:
 
 
 @bench("schedule_cancel_churn")
-def schedule_cancel_churn(quick: bool = False) -> BenchResult:
+def schedule_cancel_churn() -> BenchResult:
     """Schedule/cancel churn: the Activity pause/resume pattern.
 
     Each round schedules a batch of far-future events and immediately
@@ -59,7 +58,7 @@ def schedule_cancel_churn(quick: bool = False) -> BenchResult:
     entries accumulate for the life of the run (the pre-fix behaviour);
     ``peak_heap_entries`` is the regression witness.
     """
-    rounds = 2_000 if quick else 8_000
+    rounds = 2_000
     batch = 20
     cancel_frac = 19  # cancel 19 of every 20
     sim = Simulator()
@@ -90,7 +89,7 @@ def _noop() -> None:
 
 
 @bench("periodic_storm")
-def periodic_storm(quick: bool = False) -> BenchResult:
+def periodic_storm() -> BenchResult:
     """Periodic-timer storm: the per-PCPU tick/accounting pattern.
 
     64 timers with staggered near-coprime periods — the engine's
@@ -98,7 +97,7 @@ def periodic_storm(quick: bool = False) -> BenchResult:
     allocation, small dedicated heap).
     """
     timers = 64
-    horizon = 250_000 if quick else 1_000_000
+    horizon = 250_000
     sim = Simulator()
     fired = [0] * timers
     for i in range(timers):
@@ -112,7 +111,7 @@ def periodic_storm(quick: bool = False) -> BenchResult:
 
 
 @bench("compute_chain")
-def compute_chain(quick: bool = False) -> BenchResult:
+def compute_chain() -> BenchResult:
     """Pure-Compute dispatch: the coalesced-segment fast path.
 
     A 4-PCPU machine runs one 4-VCPU VM whose 4 tasks are long chains of
@@ -125,7 +124,7 @@ def compute_chain(quick: bool = False) -> BenchResult:
     """
     from repro.config import GuestConfig
 
-    ops_per_task = 4_000 if quick else 16_000
+    ops_per_task = 4_000
     sim = Simulator()
     trace = TraceBus()
     machine = Machine(MachineConfig(num_pcpus=4, sockets=1), sim)
@@ -157,7 +156,7 @@ def compute_chain(quick: bool = False) -> BenchResult:
 
 
 @bench("spinlock_storm")
-def spinlock_storm(quick: bool = False) -> BenchResult:
+def spinlock_storm() -> BenchResult:
     """Guest spinlock contention storm through the full stack.
 
     A 4-PCPU machine under the Credit scheduler runs one 4-VCPU VM whose
@@ -167,7 +166,7 @@ def spinlock_storm(quick: bool = False) -> BenchResult:
     """
     from repro.config import GuestConfig
 
-    ops_per_task = 1_000 if quick else 4_000
+    ops_per_task = 1_000
     sim = Simulator()
     trace = TraceBus()
     machine = Machine(MachineConfig(num_pcpus=4, sockets=1), sim)

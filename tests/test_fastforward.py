@@ -23,6 +23,9 @@ instead of polling a predicate after every event, and must stop on the
 same event — including deadline returns, already-met targets and stale
 callbacks left behind by an earlier drive call.
 
+Plus the two perf micro benches that run purely on the fast paths
+(``compute_chain``, ``spinlock_storm``).
+
 Plus the levers themselves: ``REPRO_NO_FASTFORWARD`` parsing and the
 :func:`closed_form_burn` ≡ ``SchedulerBase._debit`` algebra that
 justifies compute coalescing.
@@ -47,6 +50,7 @@ from repro.faults import FaultSpec
 from repro.guest.kernel import GuestKernel
 from repro.guest.ops import Compute, Critical, Sleep
 from repro.hardware.machine import Machine
+from repro.perf import registry as perf_benches
 from repro.perf.harness import fingerprint_of
 from repro.sim.engine import Simulator
 from repro.sim.tracing import TraceBus
@@ -397,6 +401,19 @@ class TestPushDrivenCompletion:
 
         on, off = run_both_ways(scenario)
         assert on == off
+
+
+# --------------------------------------------------------------------- #
+# The perf micro benches: coalesced Compute and a contended spinlock
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("name", ["compute_chain", "spinlock_storm"])
+def test_perf_bench_bit_identical(name):
+    """``compute_chain`` is all inline Compute dispatch with closed-form
+    credit burns; ``spinlock_storm`` has eight tasks hammering one lock
+    (spin batching, fused release micro-steps).  Both must simulate the
+    same events to the same outcome on the step-wise paths."""
+    on, off = run_both_ways(perf_benches[name])
+    assert (on.fingerprint, on.events) == (off.fingerprint, off.events)
 
 
 # --------------------------------------------------------------------- #

@@ -241,6 +241,30 @@ class TestResultCache:
         hit, _ = ResultCache(tmp_path, salt="version-1").get(spec)
         assert hit
 
+    @pytest.mark.parametrize("override", ["sanitize", "no_fastforward"])
+    def test_run_config_override_misses_default_entries(self, tmp_path,
+                                                         override):
+        """A sanitized or fast-forward-off run must really take the
+        paths it was asked to check, not read what a default run
+        stored."""
+        from repro.analysis import set_sanitize
+        from repro.fastforward import set_fastforward
+
+        spec = single_vm_cell(EP, online_rate=0.4)
+        ResultCache(tmp_path).put(spec, execute_cell(spec))
+        if override == "sanitize":
+            set_sanitize(True)
+        else:
+            set_fastforward(False)
+        try:
+            hit, _ = ResultCache(tmp_path).get(spec)
+        finally:
+            set_sanitize(None)
+            set_fastforward(None)
+        assert not hit
+        hit, _ = ResultCache(tmp_path).get(spec)
+        assert hit
+
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = single_vm_cell(EP, online_rate=0.4)

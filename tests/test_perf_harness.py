@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from repro.config import run_config
 from repro.errors import ConfigurationError
-from repro.perf.harness import (BenchResult, bench, check_against_baseline,
-                                fingerprint_of, load_baseline, registry,
-                                write_baseline, write_result)
+from repro.perf.harness import (FAIL_THRESHOLD, BenchResult, bench,
+                                check_against_baseline, fingerprint_of,
+                                load_baseline, registry, write_baseline,
+                                write_result)
 
 
 def result(name="demo", events_per_s=1000.0, fingerprint=None):
@@ -17,11 +19,8 @@ def result(name="demo", events_per_s=1000.0, fingerprint=None):
 
 
 def baseline_doc(results, calibration=1000.0, config=None):
-    from repro.perf.harness import run_config
-
     return {
-        "meta": {"mode": "quick",
-                 "config": run_config() if config is None else config,
+        "meta": {"config": run_config() if config is None else config,
                  "calibration_events_per_s": calibration},
         "benches": {r.name: r.to_dict() for r in results},
     }
@@ -66,7 +65,7 @@ class TestRegistry:
 
     def test_duplicate_name_rejected(self):
         @bench("test_dummy_unique")
-        def dummy(quick):
+        def dummy():
             return result("test_dummy_unique")
 
         try:
@@ -79,10 +78,9 @@ class TestRegistry:
 class TestBaselineCheck:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "base.json"
-        write_baseline([result(fingerprint=9)], path,
-                       quick=True, calibration=1234.5)
+        write_baseline([result(fingerprint=9)], path, calibration=1234.5)
         doc = load_baseline(path)
-        assert doc["meta"]["mode"] == "quick"
+        assert doc["meta"]["calibration_events_per_s"] == 1234.5
         assert doc["benches"]["demo"]["fingerprint"] == 9
 
     def test_equal_run_passes(self):
@@ -117,20 +115,18 @@ class TestBaselineCheck:
         failures = check_against_baseline([], base, calibration=1000.0)
         assert failures and "not run" in failures[0]
 
-    def test_threshold_is_configurable(self):
+    def test_threshold_boundary(self):
+        assert FAIL_THRESHOLD == 0.30
         base = baseline_doc([result(events_per_s=1000.0)])
-        got = [result(events_per_s=850.0)]  # 15% drop
-        assert check_against_baseline(got, base, calibration=1000.0,
-                                      threshold=0.30) == []
-        assert check_against_baseline(got, base, calibration=1000.0,
-                                      threshold=0.10) != []
+        assert check_against_baseline([result(events_per_s=710.0)], base,
+                                      calibration=1000.0) == []  # 29% drop
+        assert check_against_baseline([result(events_per_s=690.0)], base,
+                                      calibration=1000.0) != []  # 31% drop
 
     def test_config_mismatch_refused(self):
         # A baseline recorded with the opposite fast-forward setting is
         # not performance-comparable: the check must fail loudly instead
         # of reporting a phantom regression (or masking a real one).
-        from repro.perf.harness import run_config
-
         other = dict(run_config())
         other["fastforward"] = not other["fastforward"]
         base = baseline_doc([result(events_per_s=1000.0)], config=other)
@@ -147,10 +143,8 @@ class TestBaselineCheck:
         assert failures and "config stamp" in failures[0]
 
     def test_write_baseline_stamps_config(self, tmp_path):
-        from repro.perf.harness import run_config, write_baseline
-
         path = tmp_path / "base.json"
-        write_baseline([result()], path, quick=True, calibration=1.0)
+        write_baseline([result()], path, calibration=1.0)
         doc = load_baseline(path)
         assert doc["meta"]["config"] == run_config()
 
@@ -169,3 +163,14 @@ class TestCli:
             cli.main(["perf", "--list", *flag])
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
+
+    def test_only_with_check_is_a_usage_error(self, capsys):
+        """``--check`` reports every baseline bench that did not run, so
+        a subset run could never pass; refuse it before running."""
+        from repro import cli
+        status = cli.main(["perf", "--only", "event_throughput",
+                           "--check", "benchmarks/perf_baseline.json"])
+        assert status == 2
+        captured = capsys.readouterr()
+        assert "--only" in captured.err
+        assert "running" not in captured.out

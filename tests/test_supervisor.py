@@ -446,6 +446,62 @@ class TestAtomicWrite:
 
 
 # --------------------------------------------------------------------- #
+# Worker slots start with the parent's run config
+# --------------------------------------------------------------------- #
+def _record_worker_config(path):
+    """Runs in a worker while it unpickles a :class:`_ConfigProbe`:
+    write the worker's sanitizer and fast-forward flags to ``path``.
+    Returns ``None``, which the worker then reads as its stop message."""
+    from repro.analysis import sanitize_enabled
+    from repro.fastforward import fastforward_enabled
+
+    with open(path, "w") as fh:
+        json.dump({"sanitize": sanitize_enabled(),
+                   "fastforward": fastforward_enabled()}, fh)
+
+
+class _ConfigProbe:
+    """A task that a worker unpickles into :func:`_record_worker_config`."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (_record_worker_config, (self.path,))
+
+
+class TestWorkerConfig:
+    def test_worker_starts_with_the_parents_overrides(self, tmp_path):
+        """``--sanitize`` and ``set_fastforward(False)`` are in-process
+        overrides that a spawned child does not inherit by itself; a
+        worker slot must hand them over, or a sanitized ``--jobs 2`` run
+        checks nothing."""
+        import multiprocessing
+
+        from repro.analysis import set_sanitize
+        from repro.fastforward import set_fastforward
+        from repro.parallel.supervisor import _Slot
+
+        out = tmp_path / "worker_config.json"
+        set_sanitize(True)
+        set_fastforward(False)
+        try:
+            slot = _Slot(multiprocessing.get_context("spawn"))
+        finally:
+            set_sanitize(None)
+            set_fastforward(None)
+        try:
+            assert slot.conn.poll(60) and slot.conn.recv() == "ready"
+            slot.conn.send(_ConfigProbe(out))
+            slot.proc.join(timeout=60)
+            assert not slot.proc.is_alive()
+        finally:
+            slot.stop(terminate=True)
+        assert json.loads(out.read_text()) == {"sanitize": True,
+                                               "fastforward": False}
+
+
+# --------------------------------------------------------------------- #
 # KeyboardInterrupt does not leak a worker
 # --------------------------------------------------------------------- #
 _SIGINT_SCRIPT = """\
