@@ -41,11 +41,13 @@ __all__ = [
 _SANITIZE_OVERRIDE: Optional[bool] = None
 
 
-def set_sanitize(enabled: Optional[bool]) -> None:
+def set_sanitize(enabled: Optional[bool]) -> Optional[bool]:
     """Force sanitizer wiring on/off for this process (None resets to
-    the environment default)."""
+    the environment default).  Returns the override it replaced, so a
+    caller can restore it."""
     global _SANITIZE_OVERRIDE
-    _SANITIZE_OVERRIDE = enabled
+    previous, _SANITIZE_OVERRIDE = _SANITIZE_OVERRIDE, enabled
+    return previous
 
 
 def sanitize_enabled() -> bool:

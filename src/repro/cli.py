@@ -966,12 +966,22 @@ def _parser() -> argparse.ArgumentParser:
 
 def _main(argv: Optional[Sequence[str]]) -> int:
     args = _parser().parse_args(argv)
+    if not getattr(args, "sanitize", False):
+        return _run(args)
+    # --sanitize holds for this command only: the run config salts the
+    # cache, so a later in-process command must not inherit it.
+    from repro import analysis
+    previous = analysis.set_sanitize(True)
+    try:
+        return _run(args)
+    finally:
+        analysis.set_sanitize(previous)
+
+
+def _run(args: argparse.Namespace) -> int:
     # Resolved by name on every call: the shared parser holds no handler,
     # so a handler replaced after the parser was built still runs.
     handler = globals()[f"cmd_{args.command}"]
-    if getattr(args, "sanitize", False):
-        from repro import analysis
-        analysis.set_sanitize(True)
     ctx = _run_context(args)
     if ctx is None:
         return int(handler(args))

@@ -31,7 +31,7 @@ class Hrtimer:
 
     def read(self) -> int:
         """Current time in cycles, quantised to the timer granularity."""
-        now = self._sim._now
+        now = self._sim.now
         if self.granularity == 1:
             return now
         return now - (now % self.granularity)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from heapq import heappush
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.config import GuestConfig
 from repro.errors import GuestStateError, WorkloadError
@@ -110,7 +110,8 @@ class GuestKernel:
         self._acq_wait = self.config.spinlock_acquire_cycles
         self._measure_floor = 1 << self.vm.config.monitor.measure_floor_exp
         self._hold_steps: Dict[int, MicroStep] = {}
-        self._tail_steps: Dict[str, MicroStep] = {}
+        #: Critical lock name -> (lock, its release micro-step).
+        self._criticals: Dict[str, Tuple[SpinLock, MicroStep]] = {}
         self._decide_steps: Dict[str, MicroStep] = {}
         if self.config.irq_interval_cycles > 0:
             self._spawn_irq_daemon()
@@ -192,6 +193,9 @@ class GuestKernel:
         lock_name = "kernel.irq"
         self.lock(lock_name)
 
+        work = Compute(cfg.irq_work_cycles)
+        crit = Critical(lock_name, cfg.irq_lock_hold_cycles)
+
         def program() -> Program:
             n = 0
             while True:
@@ -199,9 +203,9 @@ class GuestKernel:
                 jitter = 1.0 + 0.2 * ((n * 2654435761 % 1000) / 1000 - 0.5)
                 yield Sleep(max(1, int(cfg.irq_interval_cycles * jitter)))
                 self.irq_count += 1
-                yield Compute(cfg.irq_work_cycles)
+                yield work
                 if n % cfg.irq_lock_period == 0:
-                    yield Critical(lock_name, cfg.irq_lock_hold_cycles)
+                    yield crit
 
         self.spawn("kernel.irqd", program(), vcpu_index=0, daemon=True)
 
@@ -261,17 +265,22 @@ class GuestKernel:
     # ------------------------------------------------------------------ #
     # Dispatch engine
     # ------------------------------------------------------------------ #
-    def _dispatch(self, task: Task) -> None:
+    def _dispatch(self, task: Task, top: bool = False) -> None:
         """Run micro-steps until the task waits, blocks, or finishes.
 
-        With fast-forward enabled the three hottest ops (Compute,
-        Critical, BarrierOp entry) are executed inline instead of being
-        expanded into micro-step closures first.  The inline paths are
-        *state-shape identical* to the expansion: same counters bumped in
-        the same order, same residual micro deque, same events armed at
-        the same cycle with the same labels — which is why every
-        fingerprint stays bit-identical (asserted by
+        With fast-forward enabled the hot ops (Compute, Critical,
+        BarrierOp entry, Sleep and the flag ops) are executed inline
+        instead of being expanded into micro-step closures first.  The
+        inline paths are *state-shape identical* to the expansion: same
+        counters bumped in the same order, same residual micro deque,
+        same events armed at the same cycle with the same labels — which
+        is why every fingerprint stays bit-identical (asserted by
         tests/test_fastforward.py against ``REPRO_NO_FASTFORWARD=1``).
+
+        ``top`` is True only when the engine callback that entered here
+        has nothing left to run after this dispatch returns
+        (:meth:`_activity_done`); only then may a lock hold run in place
+        (see :meth:`_fast_lock_hold`).
         """
         if not self._ff:
             self._dispatch_slow(task)
@@ -284,6 +293,7 @@ class GuestKernel:
         mpop = task.mpop
         pnext = task.pnext
         runq = task.runq
+        criticals = self._criticals
         while True:
             if micro:
                 if mpop()(task) == WAIT:
@@ -325,7 +335,7 @@ class GuestKernel:
                     act.remaining = act.total = cycles
                     act.on_complete = cb
                 task.activity = act
-                act.started_at = now = sim._now
+                act.started_at = now = sim.now
                 # Scheduling inlined from Simulator.at: cycles is a
                 # positive int, so time = now + cycles is an int in the
                 # future and at()'s validation is provably redundant;
@@ -350,9 +360,13 @@ class GuestKernel:
                 return
             if cls is Critical:
                 task.ops_completed += 1
-                lock = self.lock(op.lock)
-                if self._fast_lock_hold(task, lock, op.hold,
-                                        self._release_step(lock)):
+                crit = criticals.get(op.lock)
+                if crit is None:
+                    lock = self.lock(op.lock)
+                    crit = criticals[op.lock] = (
+                        lock, self._m_spin_release(lock))
+                if self._fast_lock_hold(task, crit[0], op.hold, crit[1],
+                                        top):
                     continue
                 return
             if cls is BarrierOp:
@@ -364,9 +378,25 @@ class GuestKernel:
                 if self._fast_lock_hold(
                         task, bar.bucket,
                         self.config.futex_bucket_hold_cycles,
-                        self._decide_step(bar)):
+                        self._decide_step(bar), top):
                     continue
                 return
+            # Single-step ops run their step bodies directly: the
+            # expansion would push one closure and pop it straight back.
+            if cls is Sleep:
+                task.ops_completed += 1
+                self._sleep(task, op.cycles)
+                return
+            if cls is FlagSet:
+                task.ops_completed += 1
+                self._flag_set(self.flag(op.flag), op.value)
+                continue
+            if cls is FlagWait:
+                task.ops_completed += 1
+                if self._flag_wait(task, self.flag(op.flag),
+                                   op.value) == WAIT:
+                    return
+                continue
             self._expand(task, op)
             task.ops_completed += 1
 
@@ -389,14 +419,23 @@ class GuestKernel:
                 return
 
     def _fast_lock_hold(self, task: Task, lock: SpinLock, hold: int,
-                        tail: MicroStep) -> bool:
+                        tail: MicroStep, top: bool) -> bool:
         """Inline acquire → hold → ``tail`` (the fast-forward expansion of
         Critical and the BarrierOp bucket entry).
 
         Returns True when the dispatch loop should continue immediately
-        (uncontended, zero-length hold), False when the task now waits.
-        Equivalence with the step-wise path, case by case:
+        (the hold is over), False when the task now waits.  Equivalence
+        with the step-wise path, case by case:
 
+        * uncontended, hold > 0, quiet — on a ``top`` dispatch (nothing
+          runs after it in this event) whose hold completion the engine
+          proves is the next event (:meth:`Simulator.advance_if_quiet`),
+          the completion runs right here: the engine moves the clock to
+          its cycle and counts it with its seq, the task is credited the
+          hold as ``_activity_done`` would, and ``tail`` runs, as the
+          resumed dispatch would run it first.  No Activity, Event or
+          heap entry is built: nothing else fires in between, so
+          nothing could see them;
         * uncontended, hold > 0 — lock fields set as ``try_acquire``
           does, wait recorded through the same ``_record_wait``, then the
           hold is armed exactly as ``_start_compute``/``_arm`` would
@@ -416,12 +455,21 @@ class GuestKernel:
             if hold <= 0:
                 task.micro.appendleft(tail)
                 return True
+            if hold.__class__ is not int:
+                hold = int(hold)
+            sim = self.sim
+            if top and sim.advance_if_quiet(sim.now + hold):
+                task.ran_since_dispatch += hold
+                task.compute_cycles_done += hold
+                # The resumed dispatch would pop the tail first (micro
+                # is empty at an op boundary); both tails, the release
+                # and the barrier decision, return CONTINUE.
+                tail(task)
+                return True
             cb = task.on_compute_done
             if cb is None:
                 cb = partial(self._activity_done, task)
                 task.on_compute_done = cb
-            if hold.__class__ is not int:
-                hold = int(hold)
             act = task.act_spare
             if act is None:
                 act = Activity(hold, cb)
@@ -431,8 +479,7 @@ class GuestKernel:
                 act.on_complete = cb
             task.activity = act
             task.micro.appendleft(tail)
-            sim = self.sim
-            act.started_at = snow = sim._now
+            act.started_at = snow = sim.now
             # Scheduling inlined from Simulator.at, exactly as in the
             # _dispatch Compute branch (hold is a positive int here).
             sim._seq = seq = sim._seq + 1
@@ -461,13 +508,6 @@ class GuestKernel:
         task.micro.appendleft(self._hold_step(hold))
         self._arm_over_threshold_check(task, lock, now)
         return False
-
-    def _release_step(self, lock: SpinLock) -> MicroStep:
-        step = self._tail_steps.get(lock.name)
-        if step is None:
-            step = self._m_spin_release(lock)
-            self._tail_steps[lock.name] = step
-        return step
 
     def _decide_step(self, bar: Barrier) -> MicroStep:
         step = self._decide_steps.get(bar.name)
@@ -557,7 +597,7 @@ class GuestKernel:
         # most one activity at a time and nothing keeps a reference past
         # this point (the fired Event references the callback, not act).
         task.act_spare = act
-        self._dispatch(task)
+        self._dispatch(task, True)
 
     # -- spinlocks --------------------------------------------------------#
     def _m_spin_acquire(self, lock: SpinLock):
@@ -664,39 +704,48 @@ class GuestKernel:
     # -- timed sleep ------------------------------------------------------#
     def _m_timed_sleep(self, cycles: int):
         def step(task: Task) -> str:
-            self.sim.after(cycles, partial(self._make_ready, task),
-                           label=f"sleep:{task.name}")
-            self._block_current(task)
+            self._sleep(task, cycles)
             return WAIT
         return step
+
+    def _sleep(self, task: Task, cycles: int) -> None:
+        self.sim.after(cycles, partial(self._make_ready, task),
+                       label=task.sleep_label)
+        self._block_current(task)
 
     # -- userspace spin flags -------------------------------------------- #
     def _m_flag_set(self, flag: FlagVar, value: int):
         def step(task: Task) -> str:
-            for wtask, target, since in flag.advance(value):
-                # Resume satisfied waiters that are executing right now;
-                # offline ones resume from on_online.
-                if wtask.vcpu.is_online and \
-                        self.current[wtask.vcpu.index] is wtask:
-                    self._flag_resume(wtask, flag, since)
-                else:
-                    # Satisfied but descheduled: convert to a resumable
-                    # state so on_online continues the program.
-                    wtask.spin_flag = None
-                    wtask.state = TaskState.RUNNING
-                    flag.record_wait(self.sim.now - since)
+            self._flag_set(flag, value)
             return CONTINUE
         return step
 
+    def _flag_set(self, flag: FlagVar, value: int) -> None:
+        for wtask, target, since in flag.advance(value):
+            # Resume satisfied waiters that are executing right now;
+            # offline ones resume from on_online.
+            if wtask.vcpu.is_online and \
+                    self.current[wtask.vcpu.index] is wtask:
+                self._flag_resume(wtask, flag, since)
+            else:
+                # Satisfied but descheduled: convert to a resumable
+                # state so on_online continues the program.
+                wtask.spin_flag = None
+                wtask.state = TaskState.RUNNING
+                flag.record_wait(self.sim.now - since)
+
     def _m_flag_wait(self, flag: FlagVar, value: int):
         def step(task: Task) -> str:
-            if flag.satisfied(value):
-                return CONTINUE
-            flag.add_waiter(task, value, self.sim.now)
-            task.state = TaskState.SPINNING
-            task.spin_flag = (flag, value, self.sim.now)
-            return WAIT
+            return self._flag_wait(task, flag, value)
         return step
+
+    def _flag_wait(self, task: Task, flag: FlagVar, value: int) -> str:
+        if flag.satisfied(value):
+            return CONTINUE
+        flag.add_waiter(task, value, self.sim.now)
+        task.state = TaskState.SPINNING
+        task.spin_flag = (flag, value, self.sim.now)
+        return WAIT
 
     def _flag_resume(self, task: Task, flag: FlagVar, since: int) -> None:
         """An online flag-spinner observed its flag: continue the program."""

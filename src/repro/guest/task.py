@@ -80,7 +80,7 @@ class Task:
                  "activity", "spin_lock", "spin_since", "spin_flag",
                  "locks_held", "ran_since_dispatch", "ops_completed",
                  "compute_cycles_done", "finished_at", "compute_label",
-                 "on_compute_done", "act_spare", "mpop", "pnext", "runq")
+                 "sleep_label", "on_compute_done", "act_spare", "mpop", "pnext", "runq")
 
     def __init__(self, name: str, program: "Program", vcpu: "VCPU",
                  daemon: bool = False) -> None:
@@ -119,6 +119,8 @@ class Task:
         #: Event label for this task's compute bursts, built once — the
         #: kernel arms one event per burst, so per-arm formatting adds up.
         self.compute_label = "compute:" + name
+        #: Event label for this task's sleep wakes, built once likewise.
+        self.sleep_label = "sleep:" + name
         #: Default activity-completion callback, installed by the kernel
         #: on first use (one closure per task, not per burst).
         self.on_compute_done: Optional[Callable[[], None]] = None

@@ -11,6 +11,9 @@ and two priority queues of pending work:
   re-arms in place with :func:`heapq.heapreplace` — no allocation, no
   traffic through the big one-shot heap.
 
+The clock is the plain attribute :attr:`Simulator.now` (the guest reads
+it on every op, so it is not a property); only the engine moves it.
+
 Components schedule callbacks with :meth:`Simulator.at` /
 :meth:`Simulator.after` and may cancel them via :meth:`Event.cancel` —
 cancellation is O(1) (lazy deletion).  Cancelled entries are reclaimed:
@@ -31,6 +34,18 @@ filters dead entries and re-heapifies; because ``(time, seq)`` keys are
 unique and totally ordered, compaction can never change firing order.
 This property is relied on by the regression and property tests, and by
 ``repro perf``'s fingerprint gate.
+
+Quiet events
+------------
+While :meth:`Simulator.run_until` or :meth:`Simulator.run_until_stopped`
+runs, it publishes its last cycle as the run's *horizon*.  A callback
+that would schedule an event which provably fires next — within the
+horizon, no stop pending, both queue heads strictly later — may instead
+run it in place through :meth:`Simulator.advance_if_quiet`: same cycle,
+same seq, same ``events_executed``, no heap entry.  A logical event is
+never dropped, added, reordered or re-timed.  ``run``, ``step`` and
+``run_until_true`` publish no horizon, so nothing runs in place under
+them.
 """
 
 from __future__ import annotations
@@ -97,11 +112,15 @@ class Simulator:
         Initial clock value in cycles (default 0).
     """
 
-    __slots__ = ("_now", "_seq", "_queue", "_live", "_timers", "_timers_live",
-                 "_stopped", "events_executed", "peak_heap_entries")
+    __slots__ = ("now", "_seq", "_queue", "_live", "_timers", "_timers_live",
+                 "_stopped", "_horizon", "events_executed",
+                 "peak_heap_entries")
 
     def __init__(self, start: int = 0) -> None:
-        self._now: int = start
+        #: Current simulation time in cycles.  A plain slot, not a
+        #: property: the guest reads it on every op.  Only the engine
+        #: writes it.
+        self.now: int = start
         self._seq: int = 0
         #: One-shot heap of (time, seq, Event); may contain dead entries.
         self._queue: List[Tuple[int, int, Event]] = []
@@ -111,20 +130,15 @@ class Simulator:
         self._timers: List[Tuple[int, int, "PeriodicEvent"]] = []
         self._timers_live: int = 0
         self._stopped = False
+        #: The running loop's last cycle (see :meth:`advance_if_quiet`);
+        #: -inf when no horizon is published, so nothing is quiet.
+        self._horizon: float = float("-inf")
         #: Number of events executed so far (observability / perf tests).
         self.events_executed: int = 0
         #: High-water mark of total queued entries, dead ones included
         #: (the perf harness reports this; unbounded growth here was the
         #: cancelled-entry leak).
         self.peak_heap_entries: int = 0
-
-    # ------------------------------------------------------------------ #
-    # Clock
-    # ------------------------------------------------------------------ #
-    @property
-    def now(self) -> int:
-        """Current simulation time in cycles."""
-        return self._now
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -142,9 +156,9 @@ class Simulator:
         """
         if time.__class__ is not int:
             time = _as_cycles(time)
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at {time} (now={self._now})")
+                f"cannot schedule event at {time} (now={self.now})")
         self._seq = seq = self._seq + 1
         # Inline Event construction (this is the hottest allocation in
         # the simulator; skipping the __init__ frame is measurable).
@@ -170,7 +184,7 @@ class Simulator:
             delay = _as_cycles(delay)
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.at(self._now + delay, callback, label)
+        return self.at(self.now + delay, callback, label)
 
     def every(self, period: int, callback: Callable[[], None],
               label: str = "", start_offset: int = 0) -> "PeriodicEvent":
@@ -196,7 +210,7 @@ class Simulator:
         pe = PeriodicEvent(self, period, callback, label)
         self._seq = seq = self._seq + 1
         heapq.heappush(self._timers,
-                       (self._now + start_offset + period, seq, pe))
+                       (self.now + start_offset + period, seq, pe))
         self._timers_live += 1
         depth = len(self._queue) + len(self._timers)
         if depth > self.peak_heap_entries:
@@ -269,7 +283,7 @@ class Simulator:
                 # Periodic fast path: advance the clock, re-arm in place
                 # (pre-callback, so a raising callback cannot kill the
                 # timer), then invoke.
-                self._now = th
+                self.now = th
                 self._seq = seq = self._seq + 1
                 heapq.heapreplace(tq, (th + pe.period, seq, pe))
                 self.events_executed += 1
@@ -278,7 +292,7 @@ class Simulator:
         if not q:
             return False
         time, seq, ev = heapq.heappop(q)
-        self._now = time
+        self.now = time
         ev.fired = True
         self._live -= 1
         self.events_executed += 1
@@ -301,20 +315,25 @@ class Simulator:
 
         The clock always lands exactly on ``time`` so that back-to-back
         ``run_until`` calls partition the timeline cleanly; an event
-        scheduled exactly at ``time`` fires within this call.
+        scheduled exactly at ``time`` fires within this call, so ``time``
+        is the run's horizon (:meth:`advance_if_quiet`).
         """
         if time.__class__ is not int:
             time = _as_cycles(time)
-        if time < self._now:
-            raise SimulationError(f"run_until({time}) is in the past (now={self._now})")
+        if time < self.now:
+            raise SimulationError(f"run_until({time}) is in the past (now={self.now})")
         self._stopped = False
-        while not self._stopped:
-            nxt = self._peek_time()
-            if nxt is None or nxt > time:
-                break
-            self.step()
+        outer, self._horizon = self._horizon, time
+        try:
+            while not self._stopped:
+                nxt = self._peek_time()
+                if nxt is None or nxt > time:
+                    break
+                self.step()
+        finally:
+            self._horizon = outer
         if not self._stopped:
-            self._now = time
+            self.now = time
 
     def run_until_true(self, predicate: Callable[[], bool],
                        deadline: Optional[int] = None) -> bool:
@@ -335,7 +354,7 @@ class Simulator:
                 if nxt is None:
                     return predicate()
                 if nxt > deadline:
-                    self._now = deadline
+                    self.now = deadline
                     return predicate()
             if not self.step():
                 return predicate()
@@ -359,7 +378,9 @@ class Simulator:
 
         Returns True if stopped, False if the queue drained or the
         ``deadline`` (absolute cycles) passed first; on a deadline the
-        clock is set to it, exactly as :meth:`run_until_true` does.
+        clock is set to it, exactly as :meth:`run_until_true` does.  The
+        deadline (+inf without one) is the run's horizon
+        (:meth:`advance_if_quiet`).
         """
         if deadline is not None and deadline.__class__ is not int:
             deadline = _as_cycles(deadline)
@@ -371,10 +392,12 @@ class Simulator:
         # No deadline compares as +inf: every int is below it, so the
         # deadline branches stay dead without a per-event None test.
         dl = float("inf") if deadline is None else deadline
+        outer, self._horizon = self._horizon, dl
         # Executed-count batching: no callback reads events_executed
         # mid-run (it is consumed after the run by the perf/conformance
-        # layers), so count locally and write back on every exit path.
-        executed = self.events_executed
+        # layers), so count locally and add it on every exit path (an
+        # advance_if_quiet inside the run counts itself).
+        executed = 0
         try:
             while not self._stopped:
                 while q and q[0][2].cancelled:
@@ -386,11 +409,11 @@ class Simulator:
                     if not q or th < q[0][0] \
                             or (th == q[0][0] and ts < q[0][1]):
                         if th > dl:
-                            self._now = deadline
+                            self.now = deadline
                             return False
                         # Periodic fast path, as in step(): advance,
                         # re-arm in place, then invoke.
-                        self._now = th
+                        self.now = th
                         self._seq = seq = self._seq + 1
                         replace(tq, (th + pe.period, seq, pe))
                         executed += 1
@@ -400,21 +423,55 @@ class Simulator:
                     return False
                 time, _seq_, ev = q[0]
                 if time > dl:
-                    self._now = deadline
+                    self.now = deadline
                     return False
                 pop(q)
-                self._now = time
+                self.now = time
                 ev.fired = True
                 self._live -= 1
                 executed += 1
                 ev.callback()
             return True
         finally:
-            self.events_executed = executed
+            self.events_executed += executed
+            self._horizon = outer
 
     def stop(self) -> None:
         """Stop the current ``run*`` call after the in-flight event."""
         self._stopped = True
+
+    def advance_if_quiet(self, t: int) -> bool:
+        """Run the logical event at cycle ``t`` in place, if it is next.
+
+        A callback about to schedule an event at ``t`` for work that
+        nothing else observes (a guest lock hold) asks this first.  It
+        is quiet when, during a run that publishes a horizon
+        (:meth:`run_until`, :meth:`run_until_stopped`), ``t`` is within
+        that horizon, no :meth:`stop` is pending, and the live heads of
+        both queues lie strictly after ``t`` — an entry at ``t`` was
+        scheduled earlier, so its lower seq fires first.  The event at
+        ``t`` is then provably the next one: the clock moves to ``t``,
+        one seq is consumed and one event is counted, exactly as
+        scheduling and popping it would, and the caller runs its body
+        directly.  Otherwise it returns False, having changed nothing but
+        the dead heads it stripped, and the caller schedules the event.
+        """
+        if t > self._horizon or self._stopped:
+            return False
+        q = self._queue
+        while q and q[0][2].cancelled:
+            heapq.heappop(q)
+        if q and q[0][0] <= t:
+            return False
+        tq = self._timers
+        while tq and tq[0][2]._cancelled:
+            heapq.heappop(tq)
+        if tq and tq[0][0] <= t:
+            return False
+        self.now = t
+        self._seq += 1
+        self.events_executed += 1
+        return True
 
     @property
     def pending_events(self) -> int:

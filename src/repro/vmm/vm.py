@@ -78,7 +78,7 @@ class VCPU:
     """One virtual CPU of one VM."""
 
     __slots__ = (
-        "vm", "index", "credit", "state", "pcpu", "home_pcpu_id", "boosted",
+        "vm", "index", "name", "credit", "state", "pcpu", "home_pcpu_id", "boosted",
         "wake_boost", "parked",
         "online_cycles", "_online_since", "created_at", "_sim",
         "wait_cycles", "_runnable_since", "preemptions", "migrations",
@@ -88,6 +88,8 @@ class VCPU:
     def __init__(self, vm: "VM", index: int, sim: Simulator) -> None:
         self.vm = vm
         self.index = index
+        #: ``<vm>/v<index>``, built once: every ``sched.switch`` emits it.
+        self.name = f"{vm.name}/v{index}"
         self._sim = sim
         self.credit: float = 0.0
         self.state = VCPUState.RUNNABLE
@@ -115,10 +117,6 @@ class VCPU:
         self.wakes = 0
 
     # ------------------------------------------------------------------ #
-    @property
-    def name(self) -> str:
-        return f"{self.vm.name}/v{self.index}"
-
     @property
     def is_online(self) -> bool:
         return self.state is VCPUState.RUNNING

@@ -9,7 +9,8 @@ workload never talks to the scheduler.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional
+import itertools
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -33,8 +34,9 @@ def jittered(rng: np.random.Generator, mean: float, cv: float) -> int:
     return max(1, int(rng.gamma(shape, scale)))
 
 
-class JitteredStream:
-    """Batched :func:`jittered` draws for one fixed ``(mean, cv)`` pair.
+def jittered_stream(rng: np.random.Generator, mean: float, cv: float,
+                    batch: int = 256) -> Iterator[int]:
+    """Endless :func:`jittered` draws for one fixed ``(mean, cv)`` pair.
 
     Hot program generators (NAS threads) draw thousands of gamma variates
     with constant parameters from a *private* per-thread RNG.  NumPy's
@@ -45,41 +47,24 @@ class JitteredStream:
     private to the thread, drawing the batch ahead of need (overdraw at
     program end) cannot perturb any other stream.  The degenerate
     parameter cases mirror :func:`jittered` without touching the RNG.
+    Callers bind the iterator's ``__next__``: a draw is then one
+    generator resume, not a method call.
     """
+    if mean <= 0:
+        return itertools.repeat(0)
+    if cv <= 0:
+        return itertools.repeat(int(mean))
+    return _gamma_batches(rng, 1.0 / (cv * cv), mean * cv * cv, batch)
 
-    __slots__ = ("_rng", "_mean", "_cv", "_shape", "_scale",
-                 "_buf", "_idx", "_batch")
 
-    def __init__(self, rng: np.random.Generator, mean: float, cv: float,
-                 batch: int = 256) -> None:
-        self._rng = rng
-        self._mean = mean
-        self._cv = cv
-        self._shape = 1.0 / (cv * cv) if cv > 0 else 0.0
-        self._scale = mean * cv * cv
-        self._buf = None
-        self._idx = 0
-        self._batch = batch
-
-    def draw(self) -> int:
-        """One :func:`jittered`-identical variate."""
-        if self._mean <= 0:
-            return 0
-        if self._cv <= 0:
-            return int(self._mean)
-        buf = self._buf
-        idx = self._idx
-        if buf is None or idx >= len(buf):
-            # astype(int64) truncates toward zero exactly as jittered's
-            # int(); tolist() yields plain Python ints so each draw is a
-            # list index, not a numpy-scalar conversion.
-            buf = self._buf = self._rng.gamma(
-                self._shape, self._scale,
-                size=self._batch).astype(np.int64).tolist()
-            idx = 0
-        self._idx = idx + 1
-        v = buf[idx]
-        return v if v >= 1 else 1
+def _gamma_batches(rng: np.random.Generator, shape: float, scale: float,
+                   batch: int) -> Iterator[int]:
+    while True:
+        # astype(int64) truncates toward zero exactly as jittered's
+        # int(); tolist() yields plain Python ints, not numpy scalars.
+        for v in rng.gamma(shape, scale,
+                           size=batch).astype(np.int64).tolist():
+            yield v if v >= 1 else 1
 
 
 class Workload(abc.ABC):

@@ -38,7 +38,7 @@ from repro.errors import WorkloadError
 from repro.guest.kernel import GuestKernel
 from repro.guest.ops import BarrierOp, Compute, Critical, FlagSet, FlagWait, Op
 from repro.fastforward import fastforward_enabled
-from repro.workloads.base import JitteredStream, Workload, jittered
+from repro.workloads.base import Workload, jittered, jittered_stream
 
 #: Hold time of a modelled kernel critical section (~3.4 us — a futex
 #: bucket / runqueue-lock scale hold, the locks the paper instruments).
@@ -172,10 +172,10 @@ class NasBenchmark(Workload):
         # Every draw in this program uses the constant (seg_mean,
         # jitter_cv) pair — with segments == 0 the only draw site has
         # mean == compute_per_iter == seg_mean — so fast-forward batches
-        # them through one JitteredStream on the thread-private RNG
-        # (bit-identical to the scalar calls; see JitteredStream).
+        # them through one jittered_stream on the thread-private RNG
+        # (bit-identical to the scalar calls; see jittered_stream).
         if fastforward_enabled():
-            draw = JitteredStream(rng, seg_mean, p.jitter_cv).draw
+            draw = jittered_stream(rng, seg_mean, p.jitter_cv).__next__
         else:
             def draw() -> int:
                 return jittered(rng, seg_mean, p.jitter_cv)

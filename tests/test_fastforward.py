@@ -23,6 +23,11 @@ instead of polling a predicate after every event, and must stop on the
 same event — including deadline returns, already-met targets and stale
 callbacks left behind by an earlier drive call.
 
+Plus quiet holds: a lock hold whose completion is provably the next
+event runs inside the event that starts it, and must not when it ends
+on a tick, past a deadline or ``run_for`` window, or in a dispatch
+nested inside another task's release.
+
 Plus the two perf micro benches that run purely on the fast paths
 (``compute_chain``, ``spinlock_storm``).
 
@@ -48,7 +53,7 @@ from repro.experiments.setup import weight_for_rate
 from repro.fastforward import fastforward_enabled, set_fastforward
 from repro.faults import FaultSpec
 from repro.guest.kernel import GuestKernel
-from repro.guest.ops import Compute, Critical, Sleep
+from repro.guest.ops import BarrierOp, Compute, Critical, Sleep
 from repro.hardware.machine import Machine
 from repro.perf import registry as perf_benches
 from repro.perf.harness import fingerprint_of
@@ -401,6 +406,206 @@ class TestPushDrivenCompletion:
 
         on, off = run_both_ways(scenario)
         assert on == off
+
+
+# --------------------------------------------------------------------- #
+# Quiet holds: a lock hold whose completion is provably the next event
+# runs inside the event that starts it (Simulator.advance_if_quiet)
+# --------------------------------------------------------------------- #
+HOLD = 10_000
+
+
+@pytest.fixture
+def quiet_calls(monkeypatch):
+    """Every ``advance_if_quiet`` call as ``(clock before, t, answer)``.
+    Only fast-forward dispatch asks; the step-wise path never does."""
+    calls = []
+    real = Simulator.advance_if_quiet
+
+    def spy(sim, t):
+        before = sim.now
+        answer = real(sim, t)
+        calls.append((before, t, answer))
+        return answer
+
+    monkeypatch.setattr(Simulator, "advance_if_quiet", spy)
+    return calls
+
+
+def run_to_stop(sim, kernel, sched, deadline=None):
+    """The testbed driver's fused loop: stop when the workload is done."""
+    kernel.on_all_done(sim.stop)
+    sched.start()
+    return sim.run_until_stopped(deadline=deadline)
+
+
+class TestQuietHolds:
+    def test_hold_ending_on_a_tick_is_not_elided(self, quiet_calls):
+        """PCPU0's credit tick was armed long before the hold, so at the
+        shared cycle the tick fires first and the hold takes the heap.
+        The holds clear of any tick run in place."""
+        def scenario():
+            sim, trace, machine, sched, kernel = small_guest(num_vcpus=1)
+            on_tick = []
+
+            def program():
+                for _ in range(6):
+                    yield Compute(TICK - sim.now % TICK - HOLD)
+                    on_tick.append(sim.now + HOLD)
+                    yield Critical("L", HOLD)
+                    yield Compute(3_333)
+                    yield Critical("L", HOLD)
+
+            kernel.spawn("edge", program(), vcpu_index=0)
+            assert run_to_stop(sim, kernel, sched)
+            assert all(t % TICK == 0 for t in on_tick)
+            return guest_fingerprint(sim, kernel, *on_tick), on_tick
+
+        on, off = run_both_ways(scenario)
+        assert on == off
+        on_tick = set(on[1])
+        refused = {t for _, t, ok in quiet_calls if not ok}
+        elided = {t for _, t, ok in quiet_calls if ok}
+        assert on_tick <= refused and not on_tick & elided
+        assert len(elided) == 6
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_hold_ending_at_the_deadline(self, quiet_calls, past):
+        """A hold ending on run_until_stopped's deadline completes inside
+        the run, in place; one cycle past it, the hold stays pending and
+        the clock stops on the deadline."""
+        end = TICK // 4  # clear of both PCPUs' ticks
+
+        def scenario():
+            sim, trace, machine, sched, kernel = small_guest(num_vcpus=1)
+
+            def program():
+                yield Compute(end - HOLD - sim.now)
+                yield Critical("L", HOLD)
+                yield Compute(5_000)
+
+            kernel.spawn("t", program(), vcpu_index=0)
+            assert not run_to_stop(sim, kernel, sched, deadline=end - past)
+            assert sim.now == end - past
+            return guest_fingerprint(sim, kernel)
+
+        on, off = run_both_ways(scenario)
+        assert on == off
+        assert [(t, ok) for _, t, ok in quiet_calls] == [(end, past == 0)]
+
+    def test_run_for_windows_split_holds(self, quiet_calls):
+        """``Testbed.run_for`` goes through ``run_until``, whose window
+        end is the horizon: a hold that straddles it takes the heap and
+        completes in the next window."""
+        window = 99_991
+
+        def scenario():
+            tb = SimTestbed(scheduler="credit", seed=1)
+            tb.add_vm("V1", workload=NasBenchmark.by_name("LU", scale=0.05))
+            kernel = tb.guests["V1"]
+            while not kernel.finished:
+                tb.run_for(window)
+            assert tb.sim.now % window == 0
+            return guest_fingerprint(tb.sim, kernel)
+
+        on, off = run_both_ways(scenario)
+        assert on == off
+        split = 0
+        for before, t, ok in quiet_calls:
+            window_end = -(-before // window) * window
+            assert not (ok and t > window_end)
+            split += t > window_end
+        assert split and any(ok for _, _, ok in quiet_calls)
+
+    def test_waiter_granted_inside_a_release_never_elides(self, quiet_calls):
+        """The waiter is granted ``L`` inside the holder's release and
+        runs on to ``M`` in that nested dispatch.  The holder still has
+        work to do at the release cycle, so ``M``'s hold must take the
+        heap: running it in place would start the holder's next compute
+        late."""
+        granted = []
+
+        def scenario():
+            sim, trace, machine, sched, kernel = small_guest()
+
+            def holder():
+                yield Compute(1_000)
+                yield Critical("L", 50_000)
+                yield Compute(10_000)
+
+            def waiter():
+                yield Compute(5_000)
+                yield Critical("L", 0)
+                granted.append(sim.now)
+                yield Critical("M", 7_000)
+                yield Compute(10_000)
+
+            kernel.spawn("hold", holder(), vcpu_index=0)
+            kernel.spawn("wait", waiter(), vcpu_index=1)
+            assert run_to_stop(sim, kernel, sched)
+            assert kernel.lock("L").contended_acquisitions == 1
+            return guest_fingerprint(sim, kernel)
+
+        on, off = run_both_ways(scenario)
+        assert on == off
+        assert granted[0] == granted[1]
+        assert all(t != granted[0] + 7_000 for _, t, _ in quiet_calls)
+
+    def test_barrier_bucket_holds(self, quiet_calls):
+        def scenario():
+            sim, trace, machine, sched, kernel = small_guest()
+            kernel.barrier("B", parties=2)
+
+            def program(t):
+                for i in range(20):
+                    yield Compute(3_000 + ((t + i) % 3) * 40_000)
+                    yield BarrierOp("B")
+
+            for t in range(2):
+                kernel.spawn(f"b{t}", program(t), vcpu_index=t)
+            assert run_to_stop(sim, kernel, sched)
+            return guest_fingerprint(sim, kernel)
+
+        on, off = run_both_ways(scenario)
+        assert on == off
+        assert any(ok for _, _, ok in quiet_calls)
+
+    def test_last_task_finishes_inside_an_elided_hold(self, quiet_calls):
+        """The final hold runs in place, so the workload completes, and
+        ``stop()`` fires, inside the event that started the hold."""
+        def scenario():
+            sim, trace, machine, sched, kernel = small_guest(num_vcpus=1)
+
+            def program():
+                yield Compute(1_000)
+                yield Critical("L", HOLD)
+
+            kernel.spawn("t", program(), vcpu_index=0)
+            assert run_to_stop(sim, kernel, sched)
+            assert sim.now == kernel.finished_at
+            return guest_fingerprint(sim, kernel), kernel.finished_at
+
+        on, off = run_both_ways(scenario)
+        assert on == off
+        assert [(t, ok) for _, t, ok in quiet_calls] == [(on[1], True)]
+
+    def test_most_uncontended_holds_run_in_place(self, quiet_calls):
+        """Fails if elision silently stops happening: in a small LU cell
+        most uncontended acquisitions' holds run in place."""
+        set_fastforward(True)
+        try:
+            tb = SimTestbed(scheduler="credit", seed=1)
+            tb.add_vm("V1", weight=weight_for_rate(0.4),
+                      workload=NasBenchmark.by_name("LU", scale=0.05))
+            assert tb.run_until_workloads_done(
+                ["V1"], deadline_cycles=units.seconds(60))
+        finally:
+            set_fastforward(None)
+        locks = tb.guests["V1"].locks.values()
+        uncontended = sum(lk.acquisitions - lk.contended_acquisitions
+                          for lk in locks)
+        elided = sum(ok for _, _, ok in quiet_calls)
+        assert elided > uncontended / 2, (elided, uncontended)
 
 
 # --------------------------------------------------------------------- #

@@ -64,6 +64,28 @@ class TestWiring:
             set_sanitize(None)
         assert sanitize_enabled()
 
+    def test_cli_sanitize_ends_with_its_command(self, monkeypatch,
+                                                 capsys):
+        """An in-process ``--sanitize`` command must not leave the
+        override behind: the run config salts the cache, so every later
+        command would miss a default-filled cache."""
+        from repro import cli
+        from repro.parallel.cache import default_salt
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        salt = default_salt()
+        assert cli.main(["run", "--workload", "LU", "--scale", "0.05",
+                         "--no-cache", "--jobs", "1", "--sanitize"]) == 0
+        capsys.readouterr()
+        assert not sanitize_enabled()
+        assert default_salt() == salt
+        set_sanitize(False)
+        try:
+            cli.main(["run", "--workload", "LU", "--scale", "0.05",
+                      "--no-cache", "--jobs", "1", "--sanitize"])
+            assert not sanitize_enabled()  # the outer override survives
+        finally:
+            set_sanitize(None)
+
     def test_explicit_param_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         tb = SimTestbed(scheduler="credit", num_pcpus=2, sanitize=False)

@@ -169,6 +169,117 @@ class TestStop:
         assert fired == [1, 2]
 
 
+class TestAdvanceIfQuiet:
+    """A callback may run the next event in place when it provably is
+    next; otherwise nothing changes and it schedules as usual."""
+
+    @staticmethod
+    def probe(sim, at, t):
+        """Ask for ``t`` from an event at ``at``; the answer and the
+        clock seen right after it."""
+        seen = []
+        sim.at(at, lambda: seen.append((sim.advance_if_quiet(t), sim.now)))
+        return seen
+
+    def test_quiet_moves_clock_and_counts_one_event(self, sim):
+        seen = self.probe(sim, 1, 10)
+        assert not sim.run_until_stopped()  # drained
+        assert seen == [(True, 10)]
+        assert sim.now == 10
+        assert sim.events_executed == 2
+
+    def test_consumes_the_seq_the_scheduled_event_would(self, sim):
+        def later_seq(quiet: bool) -> int:
+            s = Simulator()
+            seqs = []
+
+            def body() -> None:
+                seqs.append(s.at(20, lambda: None).seq)
+
+            def first() -> None:
+                if quiet:
+                    assert s.advance_if_quiet(10)
+                    body()
+                else:
+                    s.at(10, body)
+            s.at(1, first)
+            s.run_until_stopped()
+            assert s.now == 20 and s.events_executed == 3
+            return seqs[0]
+
+        assert later_seq(True) == later_seq(False)
+
+    def test_cancelled_head_is_stripped(self, sim):
+        dead = sim.at(5, lambda: None)
+        dead.cancel()
+        seen = self.probe(sim, 1, 10)
+        sim.run_until_stopped()
+        assert seen == [(True, 10)]
+        assert sim.queue_depth == 0
+        assert sim.events_executed == 2
+
+    def test_equal_time_event_is_not_quiet(self, sim):
+        fired = []
+        sim.at(10, lambda: fired.append(sim.now))
+        seen = self.probe(sim, 1, 10)
+        sim.run_until_stopped()
+        assert seen == [(False, 1)]
+        assert fired == [10]
+
+    def test_equal_time_timer_is_not_quiet(self, sim):
+        sim.every(10, lambda: sim.stop())
+        equal = self.probe(sim, 1, 10)
+        before = self.probe(sim, 2, 9)
+        sim.run_until_stopped()
+        assert equal == [(False, 1)] and before == [(True, 9)]
+        assert sim.now == 10
+
+    def test_pending_stop_is_not_quiet(self, sim):
+        seen = []
+        sim.at(1, lambda: (sim.stop(),
+                           seen.append(sim.advance_if_quiet(10))))
+        assert sim.run_until_stopped()
+        assert seen == [False] and sim.now == 1
+
+    @pytest.mark.parametrize("t, quiet", [(10, True), (11, False)])
+    def test_deadline_is_the_horizon(self, sim, t, quiet):
+        sim.at(50, lambda: None)
+        seen = self.probe(sim, 1, t)
+        assert not sim.run_until_stopped(deadline=10)
+        assert seen == [(quiet, t if quiet else 1)]
+        assert sim.now == 10
+
+    @pytest.mark.parametrize("t, quiet", [(10, True), (11, False)])
+    def test_run_until_time_is_the_horizon(self, sim, t, quiet):
+        seen = self.probe(sim, 1, t)
+        sim.run_until(10)
+        assert seen == [(quiet, t if quiet else 1)]
+        assert sim.now == 10
+
+    @pytest.mark.parametrize("run", [
+        lambda s: s.run(),
+        lambda s: s.step(),
+        lambda s: s.run_until_true(lambda: False, deadline=100),
+    ], ids=["run", "step", "run_until_true"])
+    def test_nothing_is_quiet_without_a_horizon(self, sim, run):
+        seen = self.probe(sim, 1, 5)
+        run(sim)
+        assert seen == [(False, 1)]
+
+    def test_horizon_ends_with_its_run(self, sim):
+        sim.run_until(10)
+        sim.run_until_stopped(deadline=20)
+        assert not sim.advance_if_quiet(15)
+        assert sim.now == 10
+
+    def test_run_until_stopped_adds_to_the_count(self, sim):
+        sim.at(1, lambda: None)
+        sim.step()
+        sim.at(2, lambda: None)
+        sim.run_until_stopped()
+        assert sim.events_executed == 2
+
+
 class TestPeriodic:
     def test_fires_repeatedly(self, sim):
         hits = []
