@@ -8,10 +8,9 @@ and faithful scheduler mechanics):
   :mod:`repro.analysis.callgraph`, :mod:`repro.analysis.taint` forward
   dataflow and the :mod:`repro.analysis.rules_interproc` wall-clock /
   RNG-provenance / cycle-unit rules, one per determinism contract),
-  :mod:`repro.analysis.simlint`'s five AST rules, SARIF output
-  (:mod:`repro.analysis.sarif`) and the ``analysis-baseline.json``
-  suppression workflow.  Import those modules directly; this package
-  does not load them, so simulation processes never pay for the linter.
+  :mod:`repro.analysis.simlint`'s five AST rules.  Any finding fails
+  it.  Import those modules directly; this package does not load them,
+  so simulation processes never pay for the linter.
 * :mod:`repro.analysis.sanitizer` — opt-in runtime invariant checker
   for the VMM scheduler (``--sanitize`` / ``REPRO_SANITIZE=1``), in the
   spirit of ThreadSanitizer: heavy checks after every scheduling

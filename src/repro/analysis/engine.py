@@ -18,12 +18,9 @@ need, for the direct case and the cross-call case alike:
   including virtual dispatch through the scheduler registry's
   ``SchedulerBase`` surface and the ``CellSpec``/``FaultSpec``
   dataclass fields.
-* :class:`AnalysisReport` plus the suppression **baseline**: findings
-  are content-fingerprinted (rule + file + anchor-line text, line-number
-  independent) and partitioned against a checked-in
-  ``analysis-baseline.json`` — new findings fail, grandfathered ones are
-  budgeted and counted, stale entries are reported so the baseline can
-  only shrink.
+* :class:`AnalysisReport` — every finding of one run.  There is no
+  waiver: any finding fails ``repro lint``, and a false positive is
+  fixed in its rule.
 
 The whole-program rules themselves live in
 :mod:`repro.analysis.rules_interproc`, the AST visitors in
@@ -36,13 +33,11 @@ that file (:func:`package_root`).
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+                    Union)
 
 from repro.analysis import simlint
 from repro.analysis.simlint import Violation
@@ -54,12 +49,7 @@ __all__ = [
     "ModuleInfo",
     "Project",
     "analyze",
-    "fingerprint_violation",
-    "load_baseline",
     "package_root",
-    "partition_against_baseline",
-    "stable_rel_path",
-    "write_baseline",
 ]
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -459,17 +449,6 @@ class Project:
             frontier.extend(cinfo.bases)
         return None
 
-    def is_subclass_of(self, qname: str, base: str) -> bool:
-        return qname == base or qname in self.subclasses.get(base, ())
-
-    def rel_path(self, path: Path) -> str:
-        """Path rendered relative to the package parent (stable across
-        checkouts: ``repro/vmm/credit.py``)."""
-        try:
-            return str(Path(path).resolve().relative_to(self.root.parent))
-        except ValueError:
-            return str(path)
-
 
 def _nested_defs(fn: FunctionNode) -> Iterator[FunctionNode]:
     """The ``def``s directly inside ``fn``'s body (not inside a deeper
@@ -496,115 +475,18 @@ def _dotted_name(node: ast.expr) -> Optional[str]:
 
 
 # --------------------------------------------------------------------- #
-# Report + baseline
+# Report
 # --------------------------------------------------------------------- #
 @dataclass
 class AnalysisReport:
-    """Outcome of one lint run, partitioned against the suppression
-    baseline."""
+    """Outcome of one lint run: every finding fails it."""
 
-    violations: List[Violation]          #: everything found, pre-baseline
+    violations: List[Violation]
     files_checked: int
-    pragmas_used: int
-    waivers_by_rule: Dict[str, int]
-    new: List[Violation]                 #: not in the baseline -> fail
-    grandfathered: List[Violation]       #: baselined, counted not fatal
-    stale_baseline: List[Dict[str, object]]  #: entries that no longer match
 
     @property
     def ok(self) -> bool:
-        return not self.new
-
-
-def stable_rel_path(path: Union[str, Path]) -> str:
-    """Checkout-independent rendering of a source path: the tail from
-    the last ``repro`` component on (``repro/vmm/credit.py``)."""
-    parts = Path(path).parts
-    if "repro" in parts:
-        idx = len(parts) - 1 - parts[::-1].index("repro")
-        return "/".join(parts[idx:])
-    return Path(path).name
-
-
-def fingerprint_violation(v: Violation, source_lines: Sequence[str],
-                          occurrence: int = 0) -> str:
-    """Content fingerprint: rule + repo-relative file + stripped
-    anchor-line text + occurrence index — stable under unrelated line
-    insertions and across checkout locations."""
-    anchor = ""
-    if 1 <= v.line <= len(source_lines):
-        anchor = source_lines[v.line - 1].strip()
-    payload = f"{v.rule}|{stable_rel_path(v.path)}|{anchor}|{occurrence}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def _fingerprints(violations: Sequence[Violation],
-                  sources: Dict[str, List[str]]) -> List[str]:
-    """Fingerprint each violation, disambiguating identical anchors."""
-    seen: Dict[str, int] = {}
-    out: List[str] = []
-    for v in violations:
-        lines = sources.get(v.path, [])
-        base = fingerprint_violation(v, lines, 0)
-        occurrence = seen.get(base, 0)
-        seen[base] = occurrence + 1
-        out.append(base if occurrence == 0
-                   else fingerprint_violation(v, lines, occurrence))
-    return out
-
-
-def load_baseline(path: Union[str, Path]) -> Dict[str, object]:
-    """Read a baseline document; raises ValueError on schema mismatch."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or doc.get("version") != 1:
-        raise ValueError(f"unsupported baseline schema in {path}")
-    if not isinstance(doc.get("findings"), list):
-        raise ValueError(f"baseline {path} has no findings list")
-    return doc
-
-
-def write_baseline(violations: Sequence[Violation],
-                   sources: Dict[str, List[str]],
-                   path: Union[str, Path]) -> Path:
-    """Write the current findings as the new suppression baseline."""
-    fps = _fingerprints(violations, sources)
-    findings = [
-        {"fingerprint": fp, "rule": v.rule,
-         "path": stable_rel_path(v.path),
-         "line": v.line, "message": v.message}
-        for fp, v in sorted(zip(fps, violations), key=lambda t: t[0])
-    ]
-    doc = {"version": 1, "tool": "simlint-interprocedural",
-           "findings": findings}
-    out = Path(path)
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out
-
-
-def partition_against_baseline(
-        violations: Sequence[Violation],
-        sources: Dict[str, List[str]],
-        baseline: Optional[Dict[str, object]],
-) -> Tuple[List[Violation], List[Violation], List[Dict[str, object]]]:
-    """Split findings into (new, grandfathered) and list stale baseline
-    entries (budgeted findings that no longer occur — prune them)."""
-    if baseline is None:
-        return list(violations), [], []
-    known = {str(f.get("fingerprint")): dict(f)
-             for f in baseline.get("findings", [])  # type: ignore[union-attr]
-             if isinstance(f, dict)}
-    new: List[Violation] = []
-    grandfathered: List[Violation] = []
-    matched: Set[str] = set()
-    for v, fp in zip(violations, _fingerprints(violations, sources)):
-        if fp in known:
-            matched.add(fp)
-            grandfathered.append(v)
-        else:
-            new.append(v)
-    stale = [known[fp] for fp in sorted(set(known) - matched)]
-    return new, grandfathered, stale
+        return not self.violations
 
 
 # --------------------------------------------------------------------- #
@@ -623,37 +505,33 @@ def package_root(path: Union[str, Path]) -> Path:
 
 def analyze(root: Union[str, Path],
             rules: Optional[Iterable[str]] = None,
-            baseline: Optional[Dict[str, object]] = None,
-            changed_files: Optional[Iterable[Union[str, Path]]] = None,
             assume_sim: bool = False,
-            ) -> Tuple[AnalysisReport, Project, Dict[str, List[str]]]:
+            ) -> Tuple[AnalysisReport, Project]:
     """Run the whole-program analysis over one package tree.
 
     The simlint AST rules run on every indexed module (reusing the
     engine's parse), then the whole-program rules from
     :mod:`repro.analysis.rules_interproc` run over the project call
-    graph; inline pragmas waive findings of every rule alike.
-    ``changed_files`` restricts *reporting* to those files (``--diff``
-    mode) while the index and call graph still span the whole project —
-    an interprocedural leak introduced by editing a helper is attributed
-    to the changed file that contains it.  A ``.py`` file as ``root``
-    means its :func:`package_root` with that file added to
-    ``changed_files``, so its modules keep their dotted names and
-    cross-file facts.
-
-    Returns ``(report, project, sources)`` where ``sources`` maps each
-    violation path to its source lines (for fingerprinting/SARIF).
+    graph.  A ``.py`` file as ``root`` indexes its :func:`package_root`,
+    so its modules keep their dotted names and cross-file facts, but
+    reports findings only in that file — an interprocedural leak is
+    attributed to the file that contains it.  A root holding no Python
+    module is a ValueError: a gate pointed at the wrong directory must
+    not pass by checking nothing.
     """
     from repro.analysis.rules_interproc import (ALL_RULES,
                                                 run_interproc_rules)
 
     root = Path(root)
+    only: Optional[Path] = None
     if root.is_file():
         if root.suffix != ".py":
             raise ValueError(f"{root} is not a Python source file")
-        changed_files = [root, *(changed_files or ())]
+        only = root.resolve()
         root = package_root(root)
     project = Project.load(root)
+    if not project.modules:
+        raise ValueError(f"no Python modules under {root}")
     active = set(rules) if rules is not None else set(ALL_RULES)
     unknown = active - set(ALL_RULES)
     if unknown:
@@ -661,42 +539,21 @@ def analyze(root: Union[str, Path],
     perfile_rules = active & set(simlint.RULES)
     interproc_rules = active - perfile_rules
 
-    modules = sorted(project.modules.values(), key=lambda m: str(m.path))
-    sources = {str(m.path): m.source.splitlines() for m in modules}
-    reported = set(sources)
-    if changed_files is not None:
-        changed = {str(Path(p).resolve()) for p in changed_files}
-        reported = {str(m.path) for m in modules
-                    if str(m.path.resolve()) in changed}
-
-    found: Dict[str, List[Violation]] = {path: [] for path in reported}
-    if perfile_rules:
-        for mod in modules:
-            path_key = str(mod.path)
-            if path_key in reported:
-                sim_scope, hot = simlint._scope_of(mod.path, assume_sim)
-                found[path_key] = simlint.check_tree(
-                    mod.tree, path=path_key, sim_scope=sim_scope,
-                    hot_module=hot, rules=perfile_rules)
-    if interproc_rules:
-        for v in run_interproc_rules(project, rules=interproc_rules,
-                                     assume_sim=assume_sim):
-            if v.path in reported:
-                found[v.path].append(v)
-
+    reported = [m for m in project.modules.values()
+                if only is None or m.path.resolve() == only]
     violations: List[Violation] = []
-    waivers: Dict[str, int] = {}
-    for mod in modules:
-        in_file = found.get(str(mod.path))
-        if in_file:
-            violations.extend(
-                simlint.apply_pragmas(in_file, mod.source, waivers))
+    if perfile_rules:
+        for mod in reported:
+            sim_scope, hot = simlint._scope_of(mod.path, assume_sim)
+            violations.extend(simlint.check_tree(
+                mod.tree, path=str(mod.path), sim_scope=sim_scope,
+                hot_module=hot, rules=perfile_rules))
+    if interproc_rules:
+        paths = {str(m.path) for m in reported}
+        violations.extend(
+            v for v in run_interproc_rules(project, rules=interproc_rules,
+                                           assume_sim=assume_sim)
+            if v.path in paths)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    new, grandfathered, stale = partition_against_baseline(
-        violations, sources, baseline)
-    report = AnalysisReport(
-        violations=violations, files_checked=len(project.modules),
-        pragmas_used=sum(waivers.values()),
-        waivers_by_rule=dict(sorted(waivers.items())),
-        new=new, grandfathered=grandfathered, stale_baseline=stale)
-    return report, project, sources
+    return (AnalysisReport(violations=violations,
+                           files_checked=len(project.modules)), project)

@@ -9,9 +9,8 @@ leaks into scheduling decisions.  ``repro lint`` enforces the project's
 determinism contract the way a sanitizer enforces memory safety:
 mechanically, on every commit.
 
-This module holds what every rule shares — :class:`Violation`, the
-pragma escape hatch, the package scopes — and the five rules that are
-plain AST visitors.  The three determinism contracts that values and
+This module holds what every rule shares — :class:`Violation` and the
+package scopes — and the five rules that are plain AST visitors.  The three determinism contracts that values and
 calls can carry across functions (``wall-clock``, ``rng-provenance``,
 ``cycle-unit-flow``) live in :mod:`repro.analysis.rules_interproc`.
 
@@ -38,28 +37,17 @@ Task/Event/TraceRecord tier); everything else applies package-wide.
                              BaseException:`` without re-raise, and no
                              ``except ...: pass`` silent swallows.
 
-Escape hatch
-------------
-Any violation can be waived in place with an inline pragma on the
-offending line::
-
-    jitter = base * 1.5  # simlint: ignore[cycle-unit-flow]
-
-``# simlint: ignore`` (no rule list) waives every rule on that line.
-Pragmas are deliberate, reviewable markers — the linter counts them in
-its JSON report so a creeping pile of waivers is visible.
-
 Usage
 -----
 ``python -m repro lint [ROOT]`` runs every rule through
-:func:`repro.analysis.engine.analyze`, the one lint path.
+:func:`repro.analysis.engine.analyze`, the one lint path.  Every
+finding fails it; nothing waives one in place.  A false positive is
+fixed in its rule, with a test.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -67,7 +55,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 __all__ = [
     "RULES",
     "Violation",
-    "apply_pragmas",
     "check_tree",
 ]
 
@@ -123,57 +110,6 @@ class Violation:
     def to_dict(self) -> Dict[str, object]:
         return {"path": self.path, "line": self.line, "col": self.col,
                 "rule": self.rule, "message": self.message}
-
-
-# --------------------------------------------------------------------- #
-# Pragma parsing
-# --------------------------------------------------------------------- #
-def _parse_pragmas(source: str) -> Dict[int, Optional[Set[str]]]:
-    """Map line number -> waived rule set (None = every rule).
-
-    Pragmas ride in comments so they survive ``ast`` parsing, which drops
-    them; we re-tokenize to recover positions.
-    """
-    pragmas: Dict[int, Optional[Set[str]]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for tok in tokens:
-            if tok.type is not tokenize.COMMENT:
-                continue
-            text = tok.string.lstrip("#").strip()
-            if not text.startswith("simlint:"):
-                continue
-            directive = text[len("simlint:"):].strip()
-            if not directive.startswith("ignore"):
-                continue
-            rest = directive[len("ignore"):].strip()
-            if rest.startswith("[") and rest.endswith("]"):
-                rules = {r.strip() for r in rest[1:-1].split(",") if r.strip()}
-                pragmas[tok.start[0]] = rules
-            else:
-                pragmas[tok.start[0]] = None  # waive everything
-    except tokenize.TokenError:
-        return pragmas  # syntax errors surface through ast.parse instead
-    return pragmas
-
-
-def apply_pragmas(violations: Iterable[Violation], source: str,
-                  waivers: Dict[str, int]) -> List[Violation]:
-    """Drop the violations an inline pragma in ``source`` waives.
-
-    Each waived violation is counted under its rule in ``waivers`` (the
-    audit trail behind ``--max-waivers``); the rest are returned in
-    order.  Every rule's findings share this one waiver rule.
-    """
-    pragmas = _parse_pragmas(source)
-    kept: List[Violation] = []
-    for v in violations:
-        waived = pragmas.get(v.line)
-        if v.line in pragmas and (waived is None or v.rule in waived):
-            waivers[v.rule] = waivers.get(v.rule, 0) + 1
-        else:
-            kept.append(v)
-    return kept
 
 
 def _mutable_default(node: ast.expr) -> bool:
@@ -420,8 +356,7 @@ def _scope_of(path: Path, assume_sim: bool) -> Tuple[bool, bool]:
 def check_tree(tree: ast.Module, path: str = "<string>",
                sim_scope: bool = False, hot_module: bool = False,
                rules: Optional[Iterable[str]] = None) -> List[Violation]:
-    """Every AST-rule breach in an already-parsed module, before
-    pragma waivers (:func:`apply_pragmas` applies those)."""
+    """Every AST-rule breach in an already-parsed module."""
     active = set(rules) if rules is not None else set(RULES)
     unknown = active - set(RULES)
     if unknown:

@@ -511,31 +511,19 @@ def _lint_default_root():
     return pathlib.Path(repro.__file__).parent
 
 
-def _lint_emit(text: str, output) -> None:
-    if output:
-        import pathlib
-        pathlib.Path(output).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {output}")
-    else:
-        print(text)
-
-
 def cmd_lint(args) -> int:
     """``repro lint [ROOT]``: every simlint rule
     (:func:`repro.analysis.engine.analyze`) over one package root
     (default: the source tree), or over one ``.py`` file's package with
     reporting confined to that file.
 
-    New findings (not in the ``analysis-baseline.json`` suppression
-    baseline) exit 1, as does a pragma waiver count above
-    ``--max-waivers``; usage errors exit 2."""
+    Any finding exits 1; usage errors (an unknown rule, more than one
+    ROOT, a root holding no Python module) exit 2."""
     import json as _json
     import pathlib
 
-    from repro.analysis.engine import (analyze, load_baseline,
-                                       write_baseline)
+    from repro.analysis.engine import analyze
     from repro.analysis.rules_interproc import ALL_RULES, INTERPROC_RULES
-    from repro.analysis.sarif import render_sarif
 
     if args.list_rules:
         labels = {r: f"{r} [interprocedural]" if r in INTERPROC_RULES
@@ -550,70 +538,26 @@ def cmd_lint(args) -> int:
         return 2
     root = pathlib.Path(args.paths[0]) if args.paths \
         else _lint_default_root()
-
-    baseline_path = pathlib.Path(args.baseline)
-    baseline_doc = None
-    if not args.no_baseline and not args.update_baseline \
-            and baseline_path.exists():
-        try:
-            baseline_doc = load_baseline(baseline_path)
-        except ValueError as exc:
-            print(f"lint error: {exc}", file=sys.stderr)
-            return 2
-
-    changed = [p for p in args.diff.split(",") if p.strip()] \
-        if args.diff is not None else None
     try:
-        report, project, sources = analyze(
+        report, _ = analyze(
             root, rules=args.rules.split(",") if args.rules else None,
-            baseline=baseline_doc, changed_files=changed,
             assume_sim=args.assume_sim)
     except (ValueError, OSError, SyntaxError) as exc:
         print(f"lint error: {exc}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        out = write_baseline(report.violations, sources, baseline_path)
-        print(f"wrote {out} ({len(report.violations)} grandfathered "
-              f"finding(s))")
-        return 0
-
-    if args.format == "sarif":
-        _lint_emit(render_sarif(report, sources, project), args.output)
-    elif args.format == "json":
-        doc = {
+    if args.format == "json":
+        print(_json.dumps({
             "violations": [v.to_dict() for v in report.violations],
-            "new": len(report.new),
-            "grandfathered": len(report.grandfathered),
-            "stale_baseline": len(report.stale_baseline),
             "files_checked": report.files_checked,
-            "pragmas_used": report.pragmas_used,
-            "waivers_by_rule": report.waivers_by_rule,
             "ok": report.ok,
-        }
-        _lint_emit(_json.dumps(doc, indent=2, sort_keys=True),
-                   args.output)
+        }, indent=2, sort_keys=True))
     else:
-        lines = [v.render() for v in report.new]
-        lines.append(
-            f"{len(report.violations)} finding(s) "
-            f"({len(report.new)} new, {len(report.grandfathered)} "
-            f"grandfathered) in {report.files_checked} file(s), "
-            f"{report.pragmas_used} pragma waiver(s)")
-        if report.stale_baseline and changed is None \
-                and not root.is_file():
-            lines.append(
-                f"warning: {len(report.stale_baseline)} stale baseline "
-                f"entr(y/ies) no longer occur — prune {baseline_path}")
-        _lint_emit("\n".join(lines), args.output)
-
-    if args.max_waivers is not None \
-            and report.pragmas_used > args.max_waivers:
-        print(f"lint: {report.pragmas_used} pragma waiver(s) exceed the "
-              f"--max-waivers budget of {args.max_waivers}",
-              file=sys.stderr)
-        return 1
-    return 1 if report.new else 0
+        for v in report.violations:
+            print(v.render())
+        print(f"{len(report.violations)} finding(s) in "
+              f"{report.files_checked} file(s)")
+    return 0 if report.ok else 1
 
 
 def cmd_perf(args) -> int:
@@ -868,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="one package root (default: src/repro), or one "
                          ".py file: its package is indexed and findings "
                          "are reported only in that file")
-    lp.add_argument("--format", choices=("text", "json", "sarif"),
+    lp.add_argument("--format", choices=("text", "json"),
                     default="text", help="output format")
     lp.add_argument("--rules", metavar="NAMES",
                     help="comma-separated rule subset (see --list-rules)")
@@ -877,24 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--assume-sim", action="store_true",
                     help="apply simulation-scoped rules to every file "
                          "regardless of its package path")
-    lp.add_argument("--baseline", metavar="PATH",
-                    default="analysis-baseline.json",
-                    help="suppression baseline (default: "
-                         "analysis-baseline.json; new findings fail, "
-                         "grandfathered ones are counted)")
-    lp.add_argument("--no-baseline", action="store_true",
-                    help="ignore the baseline: every finding is 'new'")
-    lp.add_argument("--update-baseline", action="store_true",
-                    help="write the current findings as the new baseline "
-                         "and exit 0")
-    lp.add_argument("--diff", metavar="FILES",
-                    help="comma-separated changed files: index the whole "
-                         "project but report findings only in these")
-    lp.add_argument("--max-waivers", type=int, metavar="N", default=None,
-                    help="fail if more than N pragma waivers fire "
-                         "(keeps the waiver pile shrinking)")
-    lp.add_argument("--output", metavar="PATH",
-                    help="write the report to PATH instead of stdout")
     return p
 
 

@@ -1,28 +1,17 @@
 """Unit tests for the whole-program analysis substrate: the Project
-indexer, the call graph, the taint summaries and the baseline workflow.
+indexer, the call graph, the taint summaries and the ``analyze`` driver.
 
 The fixture packages under ``tests/fixtures/lint/`` double as targets:
 each is a tiny ``repro`` tree the engine indexes exactly like the real
 one.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.callgraph import build_call_graph
-from repro.analysis.engine import (
-    Project,
-    analyze,
-    fingerprint_violation,
-    load_baseline,
-    package_root,
-    partition_against_baseline,
-    stable_rel_path,
-    write_baseline,
-)
-from repro.analysis.simlint import Violation
+from repro.analysis.engine import Project, analyze, package_root
 from repro.analysis.taint import compute_summaries
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
@@ -160,100 +149,6 @@ class TestTaintSummaries:
 
 
 # --------------------------------------------------------------------- #
-# Fingerprints and the baseline round-trip
-# --------------------------------------------------------------------- #
-def _violation(path="/ck/a/repro/vmm/x.py", line=3, rule="cycle-unit-flow",
-               message="m"):
-    return Violation(path=path, line=line, col=1, rule=rule,
-                     message=message)
-
-
-class TestFingerprints:
-    def test_stable_rel_path_strips_checkout_prefix(self):
-        assert stable_rel_path("/home/a/src/repro/vmm/x.py") == \
-            "repro/vmm/x.py"
-        assert stable_rel_path("/other/ck/repro/vmm/x.py") == \
-            "repro/vmm/x.py"
-        assert stable_rel_path("/tmp/loose.py") == "loose.py"
-
-    def test_line_shift_does_not_change_fingerprint(self):
-        lines_a = ["", "", "sim.after(window, None)"]
-        lines_b = ["", "", "", "", "sim.after(window, None)"]
-        fp_a = fingerprint_violation(_violation(line=3), lines_a)
-        fp_b = fingerprint_violation(_violation(line=5), lines_b)
-        assert fp_a == fp_b
-
-    def test_checkout_move_does_not_change_fingerprint(self):
-        lines = ["", "", "sim.after(window, None)"]
-        fp_a = fingerprint_violation(
-            _violation(path="/ck1/repro/vmm/x.py"), lines)
-        fp_b = fingerprint_violation(
-            _violation(path="/somewhere/else/repro/vmm/x.py"), lines)
-        assert fp_a == fp_b
-
-    def test_anchor_text_change_does_change_fingerprint(self):
-        fp_a = fingerprint_violation(
-            _violation(), ["", "", "sim.after(window, None)"])
-        fp_b = fingerprint_violation(
-            _violation(), ["", "", "sim.after(delay, None)"])
-        assert fp_a != fp_b
-
-
-class TestBaselineRoundTrip:
-    def test_round_trip_grandfathers_everything(self, tmp_path):
-        v1 = _violation(line=3, message="first")
-        v2 = _violation(line=7, rule="rng-provenance", message="second")
-        sources = {v1.path: ["x"] * 10}
-        out = tmp_path / "baseline.json"
-        write_baseline([v1, v2], sources, out)
-        baseline = load_baseline(out)
-        new, grand, stale = partition_against_baseline(
-            [v1, v2], sources, baseline)
-        assert new == [] and stale == []
-        assert len(grand) == 2
-
-    def test_new_finding_fails_and_removed_goes_stale(self, tmp_path):
-        v1 = _violation(line=3)
-        sources = {v1.path: ["x"] * 10}
-        out = tmp_path / "baseline.json"
-        write_baseline([v1], sources, out)
-        baseline = load_baseline(out)
-        v_new = _violation(line=5, rule="rng-provenance", message="fresh")
-        new, grand, stale = partition_against_baseline(
-            [v_new], sources, baseline)
-        assert new == [v_new] and grand == []
-        assert len(stale) == 1
-        assert stale[0]["rule"] == "cycle-unit-flow"
-
-    def test_duplicate_anchors_get_distinct_fingerprints(self, tmp_path):
-        # Two violations with the same rule/anchor text must not collapse
-        # into one baseline entry.
-        lines = ["dup()", "dup()"]
-        v1 = _violation(line=1, message="a")
-        v2 = _violation(line=2, message="b")
-        sources = {v1.path: lines}
-        out = tmp_path / "baseline.json"
-        write_baseline([v1, v2], sources, out)
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        fps = [f["fingerprint"] for f in doc["findings"]]
-        assert len(set(fps)) == 2
-        assert all(doc_f["path"] == "repro/vmm/x.py"
-                   for doc_f in doc["findings"])
-
-    def test_no_baseline_means_everything_is_new(self):
-        v1 = _violation()
-        new, grand, stale = partition_against_baseline(
-            [v1], {v1.path: ["x"] * 5}, None)
-        assert new == [v1] and grand == [] and stale == []
-
-    def test_schema_mismatch_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"version": 99}', encoding="utf-8")
-        with pytest.raises(ValueError, match="unsupported baseline"):
-            load_baseline(bad)
-
-
-# --------------------------------------------------------------------- #
 # The analyze() driver
 # --------------------------------------------------------------------- #
 class TestAnalyzeDriver:
@@ -262,27 +157,25 @@ class TestAnalyzeDriver:
             analyze(CLEAN, rules=["not-a-rule"])
 
     def test_clean_package_is_clean(self):
-        report, project, sources = analyze(CLEAN)
+        report, project = analyze(CLEAN)
         assert report.violations == [] and report.ok
         assert report.files_checked == len(project.modules)
-        assert set(sources) == {str(m.path)
-                                for m in project.modules.values()}
 
-    def test_diff_mode_filters_reporting_not_indexing(self):
-        # Restrict to the innocent wrapper file: the contamination in
+    def test_file_root_filters_reporting_not_indexing(self):
+        # Root at the innocent wrapper file: the contamination in
         # wire.py / inj.py must not be reported, but the whole project
         # was still indexed (files_checked spans the package).
-        rng_pkg = FIXTURES / "rng_pkg" / "repro"
-        target = rng_pkg / "asman" / "mon.py"
-        report, _, _ = analyze(rng_pkg, changed_files=[target])
-        assert {v.path for v in report.violations} == {str(target)}
+        target = FIXTURES / "rng_pkg" / "repro" / "asman" / "mon.py"
+        report, _ = analyze(target)
+        assert {v.path for v in report.violations} == {
+            str(target.resolve())}
         assert report.files_checked > 1
 
-    def test_file_root_is_diff_mode_on_its_package(self):
+    def test_file_root_indexes_its_package(self):
         rng_pkg = FIXTURES / "rng_pkg" / "repro"
         target = rng_pkg / "faults" / "inj.py"
         assert package_root(target) == rng_pkg.resolve()
-        report, project, _ = analyze(target)
+        report, project = analyze(target)
         assert project.root == rng_pkg.resolve()
         assert [(v.path, v.rule) for v in report.violations] == [
             (str(target.resolve()), "rng-provenance")]

@@ -1,6 +1,6 @@
 """repro lint rules: every rule fires on a minimal positive case, stays
-quiet on the idiomatic negative case, and honours the pragma escape
-hatch.  Snippets go through :func:`repro.analysis.engine.analyze`, the
+quiet on the idiomatic negative case, and no comment waives a finding.
+Snippets go through :func:`repro.analysis.engine.analyze`, the
 one lint path, as a module of a throwaway ``repro`` package."""
 
 import io
@@ -34,7 +34,7 @@ def lint(source, sim_scope=True, hot_module=False, rules=None):
         (pkg / sub / "__init__.py").write_text("", encoding="utf-8")
         target = pkg / sub / name
         target.write_text(source, encoding="utf-8")
-        report, _, _ = analyze(target, rules=rules)
+        report, _ = analyze(target, rules=rules)
     return report
 
 
@@ -327,45 +327,13 @@ class TestBareExcept:
 
 
 # --------------------------------------------------------------------- #
-# Pragmas
+# No waivers
 # --------------------------------------------------------------------- #
-class TestPragmas:
-    def test_rule_specific_waiver(self):
-        src = "sim.after(1.5, fn)  # simlint: ignore[cycle-unit-flow]\n"
-        report = lint(src)
-        assert report.violations == [] and report.pragmas_used == 1
-
-    def test_blanket_waiver(self):
-        report = lint("import time  # simlint: ignore\n")
-        assert report.violations == [] and report.pragmas_used == 1
-
-    def test_waiver_for_other_rule_does_not_apply(self):
-        src = "import time  # simlint: ignore[mutable-default]\n"
-        assert rules_in(src) == {"wall-clock"}
-
-    def test_waiver_on_other_line_does_not_apply(self):
-        src = ("x = 1  # simlint: ignore\n"
-               "import time\n")
-        assert rules_in(src) == {"wall-clock"}
-
-    def test_waivers_counted_per_rule(self):
-        src = ("import time  # simlint: ignore\n"
-               "sim.after(1.5, fn)  # simlint: ignore[cycle-unit-flow]\n"
-               "sim.after(2.5, fn)  # simlint: ignore[cycle-unit-flow]\n")
-        report = lint(src)
-        assert report.violations == [] and report.pragmas_used == 3
-        assert report.waivers_by_rule == {"cycle-unit-flow": 2,
-                                          "wall-clock": 1}
-
-    def test_report_aggregates_waivers_by_rule(self):
-        report, _, _ = analyze(FIXTURE, assume_sim=True)
-        assert report.waivers_by_rule == {"cycle-unit-flow": 1}
-
-    def test_json_render_includes_waivers_by_rule(self, capsys):
-        cli_main(["lint", "--assume-sim", "--format", "json",
-                  str(FIXTURE)])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["waivers_by_rule"] == {"cycle-unit-flow": 1}
+def test_ignore_comment_waives_nothing():
+    src = ("sim.after(1.5, fn)  # simlint: ignore\n"
+           "sim.after(2.5, fn)  # simlint: ignore[cycle-unit-flow]\n")
+    assert [(v.line, v.rule) for v in lint(src).violations] == [
+        (1, "cycle-unit-flow"), (2, "cycle-unit-flow")]
 
 
 # --------------------------------------------------------------------- #
@@ -395,14 +363,16 @@ class TestScoping:
 
 class TestDriversAndReporters:
     def test_fixture_trips_every_rule(self):
-        report, _, _ = analyze(FIXTURE, assume_sim=True)
+        report, _ = analyze(FIXTURE, assume_sim=True)
         hit = {v.rule for v in report.violations}
         expected = set(ALL_RULES) - {"slots-required"}
         assert expected <= hit
-        assert report.pragmas_used == 1  # the waived() pragma
+        assert len(report.violations) == 17
+        assert (54, "cycle-unit-flow") in {
+            (v.line, v.rule) for v in report.violations}  # no_waiver()
 
     def test_directory_report(self):
-        report, _, _ = analyze(FIXTURE.parent, assume_sim=True)
+        report, _ = analyze(FIXTURE.parent, assume_sim=True)
         assert report.files_checked == 1
         assert not report.ok
 
@@ -410,8 +380,8 @@ class TestDriversAndReporters:
         cli_main(["lint", "--assume-sim", "--format", "json",
                   str(FIXTURE)])
         doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"violations", "files_checked", "ok"}
         assert doc["ok"] is False
-        assert doc["pragmas_used"] == 1
         assert doc["files_checked"] == 1
         first = doc["violations"][0]
         assert set(first) == {"path", "line", "col", "rule", "message"}
@@ -464,28 +434,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "wall-clock" in out and "mutable-default" not in out
 
-    def test_max_waivers_within_budget(self, tmp_path, capsys):
-        f = tmp_path / "waived.py"
-        f.write_text("import time  # simlint: ignore\n", encoding="utf-8")
-        assert cli_main(["lint", "--assume-sim", "--max-waivers", "1",
-                         str(f)]) == 0
-
-    def test_max_waivers_exceeded_fails(self, tmp_path, capsys):
-        f = tmp_path / "waived.py"
-        f.write_text("import time  # simlint: ignore\n", encoding="utf-8")
-        assert cli_main(["lint", "--assume-sim", "--max-waivers", "0",
-                         str(f)]) == 1
-        err = capsys.readouterr().err
-        assert "exceed the --max-waivers budget" in err
-
-    def test_output_writes_report_file(self, tmp_path, capsys):
-        out_path = tmp_path / "report.json"
-        code = cli_main(["lint", "--assume-sim", "--format", "json",
-                         "--output", str(out_path), str(FIXTURE)])
-        assert code == 1
-        doc = json.loads(out_path.read_text(encoding="utf-8"))
-        assert doc["ok"] is False
-        assert "wrote" in capsys.readouterr().out
+    def test_root_without_python_modules_is_usage_error(self, tmp_path,
+                                                        capsys):
+        # A gate pointed at the wrong directory must not pass by
+        # checking nothing.
+        assert cli_main(["lint", str(tmp_path)]) == 2
+        assert "lint error: no Python modules under" in \
+            capsys.readouterr().err
 
     def test_closed_stdout_exits_141(self, monkeypatch):
         class ClosedPipe(io.StringIO):
